@@ -101,10 +101,6 @@ def _load_set(args) -> OrderedSet:
     return setmodel.reconstruct(doc) if isinstance(doc, ExponentMatrix) else doc
 
 
-def _matrix_dict(m: exactmatrix.ExactMatrix) -> dict:
-    return m.to_json_dict()
-
-
 def _cmd_analyze(args) -> tuple[dict, int]:
     s = _load_set(args)
     chains = setmodel.classify_coprime_divisor_chains(s)
@@ -134,11 +130,11 @@ def _cmd_analyze(args) -> tuple[dict, int]:
 
 
 def _cmd_gcd_matrix(args) -> tuple[dict, int]:
-    return _matrix_dict(exactmatrix.gcd_matrix(_load_set(args))), EXIT_OK
+    return exactmatrix.gcd_matrix(_load_set(args)).to_json_dict(), EXIT_OK
 
 
 def _cmd_lcm_matrix(args) -> tuple[dict, int]:
-    return _matrix_dict(exactmatrix.lcm_matrix(_load_set(args))), EXIT_OK
+    return exactmatrix.lcm_matrix(_load_set(args)).to_json_dict(), EXIT_OK
 
 
 def _cmd_pow(args) -> tuple[dict, int]:
@@ -165,7 +161,7 @@ def _cmd_invert(args) -> tuple[dict, int]:
             "method": "tridiagonal",
             "sub_super": [str(a) for a in tri.sub_super],
             "diagonal": [str(b) for b in tri.diagonal],
-            "inverse": _matrix_dict(tri.as_matrix()),
+            "inverse": tri.as_matrix().to_json_dict(),
         }
     else:
         gcd_m = exactmatrix.gcd_matrix(s)
@@ -174,7 +170,7 @@ def _cmd_invert(args) -> tuple[dict, int]:
             "method": "solve",
             "sub_super": None,
             "diagonal": None,
-            "inverse": _matrix_dict(inverse),
+            "inverse": inverse.to_json_dict(),
         }
     return report, EXIT_OK
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import numtheory
+from .errors import InvalidArgumentError
 from .exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix, solve_right
 from .setmodel import OrderedSet, is_gcd_closed, power_set
 from .tncore import TnVerdict, quotient_closed_form
@@ -93,8 +94,6 @@ def divide_via_closed_form(
 
 def divide_power(s: OrderedSet | Iterable[int], e: int) -> DivisibilityReport:
     """Divisibility report for the elementwise e-th power of the set."""
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
     return divide_oracle(power_set(OrderedSet.coerce(s), e))
 
 
@@ -128,7 +127,7 @@ def search_gcd_closed_nondivisor(
     are reproducible: the result only depends on (n, element_bound, budget).
     """
     if n < 1:
-        raise ValueError(f"set size must be >= 1, got {n}")
+        raise InvalidArgumentError(f"set size must be >= 1, got {n}")
     tested = 0
     for candidate in _gcd_closed_candidates(n, element_bound):
         if tested >= budget:

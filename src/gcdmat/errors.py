@@ -5,6 +5,10 @@ class Error(Exception):
     """Base class for all errors raised by gcdmat."""
 
 
+class InvalidArgumentError(Error, ValueError):
+    """An argument is outside its allowed range (a size, exponent, base or index)."""
+
+
 class ZeroInputError(Error):
     """Zero was passed where a positive integer is required."""
 

@@ -3,6 +3,10 @@
 Entries are ``fractions.Fraction`` (integers included as denominator-1
 fractions), so every operation here is exact; there is no floating point
 anywhere in this module.
+
+Determinants, minors, positive definiteness (one pass) and the solve share
+one fraction-free integer elimination (Bareiss); only solve outputs become
+fractions again.
 """
 
 from __future__ import annotations
@@ -145,51 +149,56 @@ def lcm_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     return ExactMatrix([[numtheory.lcm(a, b) for b in s] for a in s])
 
 
-def _integer_rows_and_scale(m: ExactMatrix) -> tuple[list[list[int]], int]:
+def _integer_rows_and_scale(rows: Iterable[tuple[Fraction, ...]]) -> tuple[list[list[int]], int]:
     """Clear denominators row by row; returns integer rows and the product of
-    the per-row multipliers, so det(m) = det(int rows) / scale."""
+    the per-row multipliers, so det(rows) = det(int rows) / scale. Every
+    multiplier is positive, so each leading principal minor keeps its sign."""
     scale = 1
     int_rows = []
-    for row in m:
+    for row in rows:
         mult = 1
         for e in row:
             mult = mult // _gcd(mult, e.denominator) * e.denominator
         scale *= mult
-        int_rows.append([int(e * mult) for e in row])
+        int_rows.append([e.numerator * (mult // e.denominator) for e in row])
     return int_rows, scale
 
 
-def _bareiss_determinant(a: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination; exact integer determinant."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
+def _bareiss(rows: list[list[int]], n: int) -> tuple[list[int], bool]:
+    """Fraction-free (Bareiss) elimination, in place, on the first n columns
+    of n integer rows; columns past n ride along as right-hand sides.
+
+    Returns the pivots and whether a row swap occurred. A swap negates the
+    incoming row, so the last pivot is the determinant; with no swap pivot k
+    is the leading (k+1)x(k+1) minor. A column left without a nonzero entry
+    ends the pass with a final pivot of 0."""
+    pivots, swapped, prev = [], False, 1
+    width = len(rows[0])
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if swap is None:
+                pivots.append(0)
+                return pivots, swapped
+            rows[k], rows[swap] = [-e for e in rows[swap]], rows[k]
+            swapped = True
+        row_k, pivot = rows[k], rows[k][k]
+        for row_i in rows[k + 1:n]:
             head = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
             row_i[k] = 0
+        pivots.append(pivot)
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return pivots, swapped
 
 
 def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant via integer Bareiss after clearing denominators."""
+    """Exact determinant: the last Bareiss pivot after clearing denominators."""
     if not m.is_square():
         raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     int_rows, scale = _integer_rows_and_scale(m)
-    return Fraction(_bareiss_determinant(int_rows), scale)
+    return Fraction(_bareiss(int_rows, m.rows)[0][-1], scale)
 
 
 @dataclass(frozen=True)
@@ -229,56 +238,46 @@ def all_minors_nonnegative(m: ExactMatrix, size_cap: int = DEFAULT_MINOR_CAP) ->
         for rows in itertools.combinations(range(n), size):
             for cols in itertools.combinations(range(n), size):
                 sub = [[int_rows[i][j] for j in cols] for i in rows]
-                det = _bareiss_determinant(sub)
-                if det < 0:
+                if _bareiss(sub, size)[0][-1] < 0:
                     value = determinant(m.submatrix(rows, cols))
-                    return MinorsReport(
-                        False,
-                        tuple(i + 1 for i in rows),
-                        tuple(j + 1 for j in cols),
-                        value,
-                    )
+                    witness = tuple(i + 1 for i in rows), tuple(j + 1 for j in cols)
+                    return MinorsReport(False, *witness, value)
     return MinorsReport(True)
 
 
 def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Solve X * a = b exactly for X (a square and nonsingular)."""
+    """Solve X * a = b exactly for X (a square and nonsingular).
+
+    Row r of X solves a^T x = b[r]: one Bareiss pass on the integer rows of
+    [a^T | b^T], then fraction-free back-substitution gives y = det * x."""
     if not a.is_square():
         raise DimensionMismatchError(f"coefficient matrix must be square, got {a.rows}x{a.cols}")
     if b.cols != a.rows:
         raise DimensionMismatchError(
             f"cannot solve X*a=b with a {a.rows}x{a.cols} and b {b.rows}x{b.cols}"
         )
-    return b * _inverse(a)
-
-
-def _inverse(a: ExactMatrix) -> ExactMatrix:
-    """Gauss-Jordan inverse over the rationals."""
     n = a.rows
-    work = [list(row) for row in a]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"matrix is singular (no pivot in column {col + 1})")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = work[col][col]
-        work[col] = [e / pivot for e in work[col]]
-        inv[col] = [e / pivot for e in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
-                inv[r] = [e - factor * p for e, p in zip(inv[r], inv[col])]
-    return ExactMatrix(inv)
+    work, _ = _integer_rows_and_scale(zip(*a, *b))
+    d = _bareiss(work, n)[0][-1]
+    if d == 0:
+        raise SingularMatrixError(f"matrix is singular (rank below {n})")
+    solution = []
+    for c in range(n, n + b.rows):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = work[i]
+            y[i] = (d * row[c] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+        solution.append([Fraction(v, d) for v in y])
+    return ExactMatrix(solution)
 
 
 def is_positive_definite(m: ExactMatrix) -> bool:
-    """All leading principal minors strictly positive (symmetric input only)."""
+    """All leading principal minors strictly positive (symmetric input only):
+    one Bareiss pass with no row swap (a swap means a leading minor is 0)."""
     if not m.is_square():
         raise NotSquareError(f"positive definiteness needs a square matrix, got {m.rows}x{m.cols}")
     if not m.is_symmetric():
         raise NotSymmetricError("positive definiteness is only checked for symmetric matrices")
-    idx = range(m.rows)
-    return all(determinant(m.submatrix(idx[: k + 1], idx[: k + 1])) > 0 for k in idx)
+    int_rows, _ = _integer_rows_and_scale(m)
+    pivots, swapped = _bareiss(int_rows, m.rows)
+    return not swapped and all(p > 0 for p in pivots)

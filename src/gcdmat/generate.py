@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InvalidSetError
+from .errors import InvalidArgumentError, InvalidSetError
 from .numtheory import small_primes
 from .setmodel import ExponentMatrix, OrderedSet, reconstruct
 
@@ -41,13 +41,13 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform-ish draw in [0, n)."""
         if n < 1:
-            raise ValueError(f"below() needs n >= 1, got {n}")
+            raise InvalidArgumentError(f"below() needs n >= 1, got {n}")
         return self.next_u64() % n
 
     def randint(self, a: int, b: int) -> int:
         """Draw in the closed range [a, b]."""
         if a > b:
-            raise ValueError(f"empty range [{a}, {b}]")
+            raise InvalidArgumentError(f"empty range [{a}, {b}]")
         return a + self.below(b - a + 1)
 
     def choice(self, seq: Sequence):
@@ -66,7 +66,7 @@ def first_primes(k: int) -> tuple[int, ...]:
 def pascal_exponents(n: int) -> list[list[int]]:
     """Rows of the symmetric Pascal matrix: entry (i, j) = C(i+j, i)."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise InvalidArgumentError(f"need n >= 1, got {n}")
     rows = [[1] * n]
     for _ in range(n - 1):
         prev = rows[-1]
@@ -80,9 +80,9 @@ def pascal_exponents(n: int) -> list[list[int]]:
 def vandermonde_exponents(bases: Sequence[int]) -> list[list[int]]:
     """Rows of the Vandermonde matrix: row i = (1, b_i, b_i**2, ...)."""
     if not bases:
-        raise ValueError("need at least one base")
+        raise InvalidArgumentError("need at least one base")
     if any(b < 1 for b in bases):
-        raise ValueError(f"bases must be positive, got {list(bases)}")
+        raise InvalidArgumentError(f"bases must be positive, got {list(bases)}")
     n = len(bases)
     return [[b**j for j in range(n)] for b in bases]
 
@@ -113,9 +113,9 @@ def random_monotone_exponents(
     or an all-zero column are rejected and redrawn.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise InvalidArgumentError(f"need n >= 1, got {n}")
     if max_exp < 1 or max_primes < 1:
-        raise ValueError("max_exp and max_primes must be >= 1")
+        raise InvalidArgumentError("max_exp and max_primes must be >= 1")
     for _ in range(_MAX_DRAW_ATTEMPTS):
         k = rng.randint(1, max_primes)
         columns = []

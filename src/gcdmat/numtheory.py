@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import ZeroInputError
+from .errors import InvalidArgumentError, ZeroInputError
 
 _SMALL_PRIME_LIMIT = 1_000_000
 
@@ -35,7 +35,7 @@ def small_primes() -> tuple[int, ...]:
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two naturals; gcd(0, 0) = 0."""
     if a < 0 or b < 0:
-        raise ValueError(f"gcd requires nonnegative inputs, got ({a}, {b})")
+        raise InvalidArgumentError(f"gcd requires nonnegative inputs, got ({a}, {b})")
     return math.gcd(a, b)
 
 
@@ -117,7 +117,7 @@ def factorize(x: int) -> tuple[tuple[int, int], ...]:
     if x == 0:
         raise ZeroInputError("cannot factorize 0")
     if x < 0:
-        raise ValueError(f"cannot factorize negative {x}")
+        raise InvalidArgumentError(f"cannot factorize negative {x}")
     factors: dict[int, int] = {}
     for p in small_primes():
         if p * p > x:

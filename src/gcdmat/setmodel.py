@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from . import numtheory
 from .errors import (
     DuplicateRowsError,
+    InvalidArgumentError,
     InvalidSetError,
     NotAMemberError,
     NotPrimeError,
@@ -194,6 +195,11 @@ class ExponentMatrix:
     def from_json_dict(cls, doc: dict) -> "ExponentMatrix":
         if "primes" not in doc or "exponents" not in doc:
             raise InvalidSetError('missing "primes" or "exponents" field')
+        rows = doc["exponents"]
+        if not isinstance(doc["primes"], list) or not isinstance(rows, list):
+            raise InvalidSetError('"primes" and "exponents" must be lists')
+        if not all(isinstance(row, list) for row in rows):
+            raise InvalidSetError('every "exponents" row must be a list')
         primes = []
         for item in doc["primes"]:
             if isinstance(item, int) and not isinstance(item, bool):
@@ -205,7 +211,7 @@ class ExponentMatrix:
                     raise InvalidSetError(f'bad "primes" entry: {item!r}') from None
             else:
                 raise InvalidSetError(f'bad "primes" entry: {item!r}')
-        return cls(primes, doc["exponents"])
+        return cls(primes, rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -366,7 +372,7 @@ def classify_coprime_divisor_chains(
 def power_set(s: OrderedSet | Iterable[int], e: int) -> OrderedSet:
     """Elementwise e-th power, order preserved."""
     if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
+        raise InvalidArgumentError(f"exponent must be >= 1, got {e}")
     s = OrderedSet.coerce(s)
     return OrderedSet(x**e for x in s)
 

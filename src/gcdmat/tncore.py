@@ -21,6 +21,7 @@ from typing import Iterable
 from .errors import (
     IndexOrderError,
     InternalConsistencyError,
+    InvalidArgumentError,
     NotTnError,
     SingularDenominatorError,
     SizeTooSmallError,
@@ -194,7 +195,7 @@ def lcm_from_gcds(
     s = OrderedSet.coerce(s)
     n = len(s)
     if not 1 <= i <= n or not 1 <= j <= n:
-        raise ValueError(f"indices ({i}, {j}) out of range 1..{n}")
+        raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{n}")
     if i > j:
         raise IndexOrderError(f"need i <= j, got ({i}, {j})")
     _require_tn(s, verdict)

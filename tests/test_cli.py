@@ -230,6 +230,29 @@ class TestInputHandling:
         code, out, err = run(capsys, "divide", "--input", str(tmp_path / "absent.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (("power-divide", "2", "6", "12", "--power", "0"), None),
+            (("search", "--size", "0"), None),
+            (("generate", "--pattern", "random", "--n", "-2"), None),
+            (("generate", "--pattern", "vandermonde", "--bases", "0,2"), None),
+            (("divide",), {"primes": [2, 3], "exponents": 5}),
+            (("divide",), {"primes": 5, "exponents": [[1]]}),
+        ],
+        ids=["power-0", "size-0", "random-n-negative", "vandermonde-base-0",
+             "exponents-not-list", "primes-not-list"],
+    )
+    def test_invalid_arguments_exit_two(self, capsys, tmp_path, argv, document):
+        if document is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(document))
+            argv = (*argv, "--input", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestFormatParity:
     COMMANDS = [

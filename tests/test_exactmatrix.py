@@ -201,6 +201,27 @@ class TestSolveRight:
                  for _ in range(rng.randint(1, 4))]
             )
             assert solve_right(a, b) * a == b
+        # non-symmetric coefficients: solving a * x = b in place of x * a = b fails these
+        rng = SplitMix64(15)
+        solved = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if cofactor_determinant(rows) == 0:
+                continue
+            a = ExactMatrix(rows)
+            assert not a.is_symmetric()
+            b = ExactMatrix(
+                [[Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
+                 for _ in range(rng.randint(1, 4))]
+            )
+            x = solve_right(a, b)
+            assert x * a == b
+            solved += 1
+        assert solved >= 50
 
     def test_errors(self):
         with pytest.raises(SingularMatrixError):
@@ -225,3 +246,38 @@ class TestPositiveDefinite:
         for _ in range(50):
             s = random_distinct_set(rng, rng.randint(1, 6), 10**6)
             assert is_positive_definite(gcd_matrix(s))
+
+    def test_two_swaps_are_not_positive_definite(self):
+        # det = +1 after two row swaps, so the swap sign alone would miss it
+        m = ExactMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        assert determinant(m) == 1
+        assert not is_positive_definite(m)
+
+    def test_matches_leading_minor_oracle_on_random_symmetric(self):
+        rng = SplitMix64(16)
+        verdicts = {"definite": 0, "singular": 0, "indefinite": 0}
+        for trial in range(120):
+            n = rng.randint(1, 5)
+            if trial % 2:
+                # Gram matrix B^T B: positive semidefinite, singular when B has
+                # fewer than n independent rows
+                b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+                rows = [
+                    [Fraction(sum(r[i] * r[j] for r in b), 1 + trial % 3) for j in range(n)]
+                    for i in range(n)
+                ]
+            else:
+                rows = [[Fraction(0)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 9), rng.randint(1, 3))
+            leading = [cofactor_determinant([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+            expected = all(d > 0 for d in leading)
+            assert is_positive_definite(ExactMatrix(rows)) == expected
+            if expected:
+                verdicts["definite"] += 1
+            elif leading[-1] == 0:
+                verdicts["singular"] += 1
+            else:
+                verdicts["indefinite"] += 1
+        assert min(verdicts.values()) >= 10, verdicts
