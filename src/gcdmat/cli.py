@@ -154,7 +154,7 @@ def _cmd_order(args) -> tuple[dict, int]:
 
 def _cmd_invert(args) -> tuple[dict, int]:
     s = _load_set(args)
-    verdict = tncore.check_tn_triple(s)
+    verdict = tncore.check_tn_single_pair(s)
     if verdict.is_tn and len(s) >= 3:
         tri = tncore.tridiagonal_inverse(s, verdict)
         report = {
@@ -176,7 +176,7 @@ def _cmd_invert(args) -> tuple[dict, int]:
 
 
 def _divide_report(s: OrderedSet, verify: bool) -> dict:
-    verdict = tncore.check_tn_triple(s)
+    verdict = tncore.check_tn_single_pair(s)
     closed_form_applies = verdict.is_tn and len(s) >= 3
     if closed_form_applies:
         report = divisibility.divide_via_closed_form(s, verdict)
@@ -304,6 +304,24 @@ def render_text(report: dict) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one verb and return its exit code.
+
+    Integers of any length are read and printed: Python's limit on int/str
+    conversion digits is lifted for the length of the call and restored
+    afterwards, so library callers keep the default. (Interpreters before
+    3.10.7 have no such limit.)
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

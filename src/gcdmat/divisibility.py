@@ -17,7 +17,7 @@ from . import numtheory
 from .errors import InvalidArgumentError
 from .exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix, solve_right
 from .setmodel import OrderedSet, is_gcd_closed, power_set
-from .tncore import TnVerdict, quotient_closed_form
+from .tncore import TnVerdict, check_tn_single_pair, quotient_closed_form
 
 METHOD_ORACLE = "oracle"
 METHOD_CLOSED_FORM = "closed-form"
@@ -123,16 +123,23 @@ def search_gcd_closed_nondivisor(
     """First gcd-closed set of size n (elements <= element_bound) that fails
     divisibility, or None when the enumeration or the budget is exhausted.
 
-    The budget counts candidate sets actually tested by the oracle, so runs
-    are reproducible: the result only depends on (n, element_bound, budget).
+    The budget counts candidate sets decided, so runs are reproducible: the
+    result only depends on (n, element_bound, budget). Candidates with n >= 3
+    that pass the single-pair TN decider divide by the paper's theorem and
+    skip the oracle.
     """
     if n < 1:
         raise InvalidArgumentError(f"set size must be >= 1, got {n}")
+    if budget < 1:
+        raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
     tested = 0
     for candidate in _gcd_closed_candidates(n, element_bound):
         if tested >= budget:
             return None
         tested += 1
-        if not divide_oracle(candidate).divides:
-            return OrderedSet(candidate)
+        s = OrderedSet(candidate)
+        if n >= 3 and check_tn_single_pair(s).is_tn:
+            continue
+        if not divide_oracle(s).divides:
+            return s
     return None

@@ -53,10 +53,6 @@ class PrimesNotIncreasingError(Error):
     """The prime list must be strictly increasing."""
 
 
-class SearchBudgetExceededError(Error):
-    """The direction-enumeration cap was exceeded."""
-
-
 class NotTnError(Error):
     """The gcd matrix is not totally nonnegative, so the closed form does not apply."""
 

@@ -106,13 +106,14 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"pollard rho failed on {n}")  # pragma: no cover
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def factorize(x: int) -> tuple[tuple[int, int], ...]:
     """Canonical prime factorization of x >= 1; factorize(1) is empty.
 
     Trial division by the sieved primes below 10**6, then Pollard rho with
     Miller-Rabin on whatever remains, so smooth inputs are fast and adversarial
-    ones still terminate.
+    ones still terminate. The most recent 1024 results are cached, so memory
+    stays bounded however many elements a process factorizes.
     """
     if x == 0:
         raise ZeroInputError("cannot factorize 0")

@@ -9,6 +9,23 @@ matrix, no linear solve required.
 
 Throughout, (i, j) written in formulas means gcd(x_i, x_j) with 1-based
 indices, matching the usual mathematical notation.
+
+On a TN set the gcd matrix is a single-pair (Green's) matrix: for i <= j,
+(i,j)*(1,n) = (1,j)*(i,n). The fast decider ``check_tn_single_pair`` checks
+only the 2n-1 instances with j in {i, i+1}:
+
+    x_i*(1,n) = (1,i)*(i,n)            1 <= i <= n
+    (i,i+1)*(1,n) = (1,i+1)*(i,n)      1 <= i < n
+
+Proof sketch, one prime p at a time, with exponents e_i, a = e_1, b = e_n and
+a <= b (a > b is the mirror image). The diagonal identity reads
+e_i + a = min(a, e_i) + min(e_i, b), which fails for e_i < a and for e_i > b,
+so a <= e_i <= b. The consecutive identity then reads
+min(e_i, e_{i+1}) + a = a + e_i, so e_i <= e_{i+1}. Every column is monotone,
+hence the set is TN; conversely monotone columns satisfy both identities.
+The deciders ``check_tn_triple`` (the literal O(n^3) triple scan),
+``check_tn_monotone`` and exhaustive minors stay as independent cross-checks,
+and the closed forms read the (1,i) and (i,n) vectors the decider computed.
 """
 
 from __future__ import annotations
@@ -27,11 +44,12 @@ from .errors import (
     SizeTooSmallError,
 )
 from .exactmatrix import ExactMatrix, all_minors_nonnegative, gcd_matrix
-from .setmodel import OrderedSet, is_column_monotone, pow_matrix
+from .setmodel import OrderedSet, pow_matrix
 
 METHOD_TRIPLE = "TripleIdentity"
 METHOD_MONOTONE = "ColumnMonotone"
 METHOD_MINORS = "ExhaustiveMinors"
+METHOD_SINGLE_PAIR = "SinglePair"
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,29 @@ class TridiagonalInverse:
         return ExactMatrix(rows)
 
 
+def _minors_verdict(s: OrderedSet) -> TnVerdict:
+    report = all_minors_nonnegative(gcd_matrix(s))
+    return TnVerdict(report.all_nonnegative, METHOD_MINORS)
+
+
+def _first_violating_triple(x: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """The triple scan: the first (i, j, k), 1-based, failing the identity."""
+    n = len(x)
+    g = [[_gcd(a, b) for b in x] for a in x]
+    for i in range(n):
+        gi = g[i]
+        for j in range(i, n):
+            gij, gj, xj = gi[j], g[j], x[j]
+            for k in range(j, n):
+                gik = gi[k]
+                product_identity = gij * gj[k] == xj * gik
+                triple_gcd = gik == _gcd(gij, x[k])
+                divides = (x[i] * x[k]) % (xj * gik) == 0
+                if not (product_identity and triple_gcd and divides):
+                    return (i + 1, j + 1, k + 1)
+    return None
+
+
 def check_tn_triple(s: OrderedSet | Iterable[int]) -> TnVerdict:
     """Decide total nonnegativity of the gcd matrix via the triple identity.
 
@@ -110,22 +151,45 @@ def check_tn_triple(s: OrderedSet | Iterable[int]) -> TnVerdict:
     (they are always totally nonnegative).
     """
     s = OrderedSet.coerce(s)
-    n = len(s)
-    if n < 3:
-        report = all_minors_nonnegative(gcd_matrix(s))
-        return TnVerdict(report.all_nonnegative, METHOD_MINORS)
+    if len(s) < 3:
+        return _minors_verdict(s)
+    witness = _first_violating_triple(s.elements)
+    return TnVerdict(witness is None, METHOD_TRIPLE, witness)
+
+
+def _pair_vectors(x: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The vectors (1,i) and (i,n) for i = 1..n, as 0-based lists."""
+    return [_gcd(x[0], v) for v in x], [_gcd(v, x[-1]) for v in x]
+
+
+def _single_pair_verdict(s: OrderedSet, first: list[int], last: list[int]) -> TnVerdict:
     x = s.elements
-    for i in range(n):
-        for j in range(i, n):
-            gij = _gcd(x[i], x[j])
-            for k in range(j, n):
-                gik = _gcd(x[i], x[k])
-                product_identity = gij * _gcd(x[j], x[k]) == x[j] * gik
-                triple_gcd = gik == _gcd(gij, x[k])
-                divides = (x[i] * x[k]) % (x[j] * gik) == 0
-                if not (product_identity and triple_gcd and divides):
-                    return TnVerdict(False, METHOD_TRIPLE, (i + 1, j + 1, k + 1))
-    return TnVerdict(True, METHOD_TRIPLE)
+    n = len(x)
+    if n < 3:
+        return _minors_verdict(s)
+    g1n = first[-1]
+    if all(v * g1n == f * l for v, f, l in zip(x, first, last)) and all(
+        _gcd(x[i], x[i + 1]) * g1n == first[i + 1] * last[i] for i in range(n - 1)
+    ):
+        return TnVerdict(True, METHOD_SINGLE_PAIR)
+    witness = _first_violating_triple(x)
+    if witness is None:
+        raise InternalConsistencyError(
+            f"single-pair identities fail but the triple scan passes on {s!r}"
+        )
+    return TnVerdict(False, METHOD_SINGLE_PAIR, witness)
+
+
+def check_tn_single_pair(s: OrderedSet | Iterable[int]) -> TnVerdict:
+    """Decide total nonnegativity from the 2n-1 single-pair identities, O(n).
+
+    See the module docstring for the identities and the proof. The witness of
+    a negative verdict is the triple scan's, so it means the same as
+    ``check_tn_triple``'s. Sets with fewer than three elements are decided by
+    exhaustive minors.
+    """
+    s = OrderedSet.coerce(s)
+    return _single_pair_verdict(s, *_pair_vectors(s.elements))
 
 
 def check_tn_monotone(s: OrderedSet | Iterable[int]) -> TnVerdict:
@@ -138,8 +202,7 @@ def check_tn_monotone(s: OrderedSet | Iterable[int]) -> TnVerdict:
     s = OrderedSet.coerce(s)
     n = len(s)
     if n < 3:
-        report = all_minors_nonnegative(gcd_matrix(s))
-        return TnVerdict(report.all_nonnegative, METHOD_MINORS)
+        return _minors_verdict(s)
     exponents = pow_matrix(s).exponents
     for col in zip(*exponents):
         steps = [(i, (col[i] < col[i + 1]) - (col[i] > col[i + 1])) for i in range(n - 1)]
@@ -150,12 +213,17 @@ def check_tn_monotone(s: OrderedSet | Iterable[int]) -> TnVerdict:
     return TnVerdict(True, METHOD_MONOTONE)
 
 
-def _require_tn(s: OrderedSet, verdict: TnVerdict | None) -> TnVerdict:
+def _require_tn(s: OrderedSet, verdict: TnVerdict | None) -> tuple[list[int], list[int]]:
+    """Raise NotTnError unless s is TN; return the (1,i) and (i,n) vectors.
+
+    Without a verdict the single-pair decider settles it.
+    """
+    first, last = _pair_vectors(s.elements)
     if verdict is None:
-        verdict = check_tn_triple(s)
+        verdict = _single_pair_verdict(s, first, last)
     if not verdict.is_tn:
         raise NotTnError(f"gcd matrix of {s!r} is not totally nonnegative: {verdict}")
-    return verdict
+    return first, last
 
 
 def check_quadruple_identity(
@@ -168,7 +236,7 @@ def check_quadruple_identity(
     Violations are reported as the first failing quadruple.
     """
     s = OrderedSet.coerce(s)
-    _require_tn(s, verdict)
+    first, last = _require_tn(s, verdict)
     x = s.elements
     n = len(x)
     for i in range(n):
@@ -177,10 +245,10 @@ def check_quadruple_identity(
                 for l in range(k, n):
                     if _gcd(x[i], x[k]) * _gcd(x[j], x[l]) != _gcd(x[i], x[l]) * _gcd(x[j], x[k]):
                         return QuadrupleReport(False, (i + 1, j + 1, k + 1, l + 1))
-    g1n = _gcd(x[0], x[n - 1])
+    g1n = first[-1]
     for i in range(n):
         for j in range(i, n):
-            if _gcd(x[i], x[j]) * g1n != _gcd(x[0], x[j]) * _gcd(x[i], x[n - 1]):
+            if _gcd(x[i], x[j]) * g1n != first[j] * last[i]:
                 return QuadrupleReport(False, (1, i + 1, j + 1, n))
     return QuadrupleReport(True)
 
@@ -198,10 +266,9 @@ def lcm_from_gcds(
         raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{n}")
     if i > j:
         raise IndexOrderError(f"need i <= j, got ({i}, {j})")
-    _require_tn(s, verdict)
-    x = s.elements
-    numerator = _gcd(x[0], x[i - 1]) * _gcd(x[j - 1], x[n - 1])
-    g1n = _gcd(x[0], x[n - 1])
+    first, last = _require_tn(s, verdict)
+    numerator = first[i - 1] * last[j - 1]
+    g1n = first[-1]
     if numerator % g1n:
         raise InternalConsistencyError(
             f"closed-form lcm is not an integer for ({i}, {j}) on {s!r}"
@@ -228,26 +295,21 @@ def tridiagonal_inverse(
     n = len(s)
     if n < 3:
         raise SizeTooSmallError(f"tridiagonal inverse needs n >= 3, got n = {n}")
-    _require_tn(s, verdict)
-    x = s.elements
-
-    def g(i: int, j: int) -> int:
-        return _gcd(x[i - 1], x[j - 1])
-
-    g1n = g(1, n)
-    a: list[Fraction] = []  # a[i-1] holds a_{i+1}
-    for i in range(1, n):
-        denom = g(i, n) * g(1, i + 1) - g(i + 1, n) * g(1, i)
+    first, last = _require_tn(s, verdict)  # first[i] = (1,i+1), last[i] = (i+1,n)
+    g1n = first[-1]
+    a: list[Fraction] = []  # a[i] holds a_{i+2}
+    for i in range(n - 1):
+        denom = last[i] * first[i + 1] - last[i + 1] * first[i]
         if denom == 0:
             raise SingularDenominatorError(
-                f"vanishing denominator at position {i + 1} for {s!r}"
+                f"vanishing denominator at position {i + 2} for {s!r}"
             )
         a.append(Fraction(g1n, denom))
-    b = [-Fraction(g(2, n), g1n) * a[0]]
-    for i in range(2, n):
-        factor = g(i - 1, n) * g(1, i + 1) - g(i + 1, n) * g(1, i - 1)
-        b.append(-Fraction(factor, g1n) * a[i - 2] * a[i - 1])
-    b.append(-Fraction(g(1, n - 1), g1n) * a[n - 2])
+    b = [-Fraction(last[1], g1n) * a[0]]
+    for i in range(1, n - 1):
+        factor = last[i - 1] * first[i + 1] - last[i + 1] * first[i - 1]
+        b.append(-Fraction(factor, g1n) * a[i - 1] * a[i])
+    b.append(-Fraction(first[n - 2], g1n) * a[n - 2])
     return TridiagonalInverse(tuple(a), tuple(b))
 
 
@@ -272,25 +334,22 @@ def quotient_closed_form(
     n = len(s)
     if n < 3:
         raise SizeTooSmallError(f"closed-form quotient needs n >= 3, got n = {n}")
-    _require_tn(s, verdict)
+    first, last = _require_tn(s, verdict)  # first[i] = (1,i+1), last[i] = (i+1,n)
     x = s.elements
-
-    def g(i: int, j: int) -> int:
-        return _gcd(x[i - 1], x[j - 1])
 
     def exact(num: int, den: int, where: str) -> int:
         if num % den:
             raise InternalConsistencyError(f"non-integer quotient entry at {where}: {num}/{den}")
         return num // den
 
-    g1n = g(1, n)
+    g1n = first[-1]
     rows = [[0] * n for _ in range(n)]
-    for i in range(2, n):
-        rows[i - 1][i - 1] = -1
-    rows[1][0] = exact(x[1], g(1, 2), "(2,1)")
-    for i in range(3, n + 1):
-        rows[i - 1][0] = exact(g(i, n), g1n, f"({i},1)")
-    rows[n - 2][n - 1] = exact(x[n - 2], g(n - 1, n), f"({n - 1},{n})")
     for i in range(1, n - 1):
-        rows[i - 1][n - 1] = exact(g(1, i), g1n, f"({i},{n})")
+        rows[i][i] = -1
+    rows[1][0] = exact(x[1], first[1], "(2,1)")
+    for i in range(2, n):
+        rows[i][0] = exact(last[i], g1n, f"({i + 1},1)")
+    rows[n - 2][n - 1] = exact(x[n - 2], last[n - 2], f"({n - 1},{n})")
+    for i in range(n - 2):
+        rows[i][n - 1] = exact(first[i], g1n, f"({i + 1},{n})")
     return ExactMatrix(rows)

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -239,9 +240,11 @@ class TestInputHandling:
             (("generate", "--pattern", "vandermonde", "--bases", "0,2"), None),
             (("divide",), {"primes": [2, 3], "exponents": 5}),
             (("divide",), {"primes": 5, "exponents": [[1]]}),
+            (("search", "--budget", "0"), None),
+            (("search", "--budget", "-1"), None),
         ],
         ids=["power-0", "size-0", "random-n-negative", "vandermonde-base-0",
-             "exponents-not-list", "primes-not-list"],
+             "exponents-not-list", "primes-not-list", "budget-0", "budget-negative"],
     )
     def test_invalid_arguments_exit_two(self, capsys, tmp_path, argv, document):
         if document is not None:
@@ -252,6 +255,29 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestBigIntegers:
+    """The CLI reads and prints integers past Python's default 4300-digit
+    int/str limit, and leaves the limit as it found it."""
+
+    def test_pascal_eight(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, doc, err = run_json(capsys, "generate", "--pattern", "pascal", "--n", "8")
+        assert code == 0 and err == ""
+        assert max(len(x) for x in doc["elements"]) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_five_thousand_digit_input(self, capsys, tmp_path):
+        zeros = "0" * 4999  # written as text: str() of these ints hits the limit
+        three, seven = "3" + zeros, "7" + zeros
+        path = tmp_path / "big.txt"
+        path.write_text(f"{three}\n{seven}\n")
+        code, doc, err = run_json(capsys, "gcd-matrix", "--input", str(path))
+        assert code == 0 and err == ""
+        assert doc["entries"][0][1] == "1" + zeros
+        code, doc, err = run_json(capsys, "gcd-matrix", three, seven)
+        assert code == 0 and doc["entries"][1][1] == seven
 
 
 class TestFormatParity:

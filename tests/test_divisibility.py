@@ -5,15 +5,17 @@ import pytest
 
 from gcdmat.divisibility import (
     DivisibilityReport,
+    _gcd_closed_candidates,
     divide_oracle,
     divide_power,
     divide_via_closed_form,
     search_gcd_closed_nondivisor,
 )
-from gcdmat.errors import NotTnError, SizeTooSmallError
+from gcdmat.errors import InvalidArgumentError, NotTnError, SizeTooSmallError
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import OrderedSet, is_gcd_closed, reconstruct
+from gcdmat.tncore import check_tn_single_pair
 
 from oracles import divisor_closure, random_distinct_set, random_tree_set, shuffled
 
@@ -182,3 +184,37 @@ class TestSearch:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             search_gcd_closed_nondivisor(0, 10, 10)
+
+    def test_rejects_budget_below_one(self):
+        for budget in (0, -1):
+            with pytest.raises(InvalidArgumentError):
+                search_gcd_closed_nondivisor(4, 20, budget)
+
+    def test_matches_oracle_only_search(self):
+        # TN candidates skip the oracle; the answer must not change
+        def oracle_only(n, bound, budget):
+            for tested, candidate in enumerate(_gcd_closed_candidates(n, bound)):
+                if tested >= budget:
+                    return None
+                if not divide_oracle(candidate).divides:
+                    return OrderedSet(candidate)
+            return None
+
+        found = 0
+        for n, bound in ((3, 200), (4, 120), (4, 200), (5, 120)):
+            for budget in (1, 4, 30, 200, 10**6):
+                result = search_gcd_closed_nondivisor(n, bound, budget)
+                assert result == oracle_only(n, bound, budget), (n, bound, budget)
+                found += result is not None
+        assert found > 0
+
+    def test_skipped_candidates_divide(self):
+        # the search stops at its first witness, so check the skip's premise
+        # over whole candidate streams too
+        skipped = 0
+        for n in (4, 5):
+            for candidate in _gcd_closed_candidates(n, 120):
+                if check_tn_single_pair(candidate).is_tn:
+                    skipped += 1
+                    assert divide_oracle(candidate).divides, candidate
+        assert skipped > 1000

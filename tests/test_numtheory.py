@@ -55,6 +55,10 @@ def test_factorize_prime_power_beyond_sieve():
     assert numtheory.factorize(p**2) == ((p, 2),)
 
 
+def test_factorize_cache_is_bounded():
+    assert numtheory.factorize.cache_info().maxsize is not None
+
+
 def test_totient_examples():
     assert numtheory.totient(1) == 1
     assert numtheory.totient(12) == totient_brute(12) == 4

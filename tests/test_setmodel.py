@@ -12,7 +12,7 @@ from gcdmat.errors import (
 from gcdmat.setmodel import ExponentMatrix, OrderedSet
 
 from oracles import brute_monotone_images, random_distinct_set
-from gcdmat.generate import SplitMix64
+from gcdmat.generate import SplitMix64, first_primes
 
 # the two orderings of the five-element worked example
 S_MONOTONE = [4000, 6000, 600, 54, 81]
@@ -154,6 +154,27 @@ class TestFindMonotoneOrder:
                 assert setmodel.is_column_monotone(setmodel.pow_matrix(s.permute(found)))
             else:
                 assert found is None
+
+    def test_thirty_primes(self):
+        # 2**30 direction assignments: far past what an enumeration can try
+        rng = SplitMix64(30)
+        n, k = 40, 30
+        columns = [list(range(1, n + 1))]
+        for _ in range(k - 1):
+            col = sorted(1 + rng.below(8) for _ in range(n))
+            if rng.below(2):
+                col.reverse()
+            columns.append(col)
+        m = ExponentMatrix(first_primes(k), [tuple(c[i] for c in columns) for i in range(n)])
+        s = setmodel.reconstruct(m)
+        shuffle = list(range(1, n + 1))
+        rng.shuffle(shuffle)
+        t = s.permute(shuffle)
+        assert not setmodel.is_column_monotone(setmodel.pow_matrix(t))
+        found = setmodel.find_monotone_order(t)
+        assert setmodel.is_column_monotone(setmodel.pow_matrix(t.permute(found)))
+        chain = tuple(sorted(range(1, n + 1), key=lambda p: shuffle[p - 1]))
+        assert found == min(chain, chain[::-1])
 
 
 class TestPredicates:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -15,12 +17,13 @@ from gcdmat.exactmatrix import (
     lcm_matrix,
     solve_right,
 )
-from gcdmat.generate import SplitMix64, random_monotone_exponents
+from gcdmat.generate import SplitMix64, random_monotone_exponents, random_monotone_set
 from gcdmat.numtheory import lcm
 from gcdmat.setmodel import is_column_monotone, pow_matrix, power_set, reconstruct
 from gcdmat.tncore import (
     check_quadruple_identity,
     check_tn_monotone,
+    check_tn_single_pair,
     check_tn_triple,
     lcm_from_gcds,
     quotient_closed_form,
@@ -100,6 +103,63 @@ class TestThreeWayAgreement:
                 i, j, k = (idx - 1 for idx in verdict.witness)
                 x = s.elements
                 assert g(x[i], x[j]) * g(x[j], x[k]) != x[j] * g(x[i], x[k])
+
+
+class TestCheckTnSinglePair:
+    def test_examples(self):
+        verdict = check_tn_single_pair([2, 6, 12])
+        assert verdict.is_tn and verdict.method == "SinglePair"
+        assert check_tn_single_pair(PASCAL_SET).is_tn
+        verdict = check_tn_single_pair([2, 3, 4])
+        assert not verdict.is_tn
+        assert verdict.method == "SinglePair"
+        assert verdict.witness == (1, 2, 3)
+
+    def test_small_sets_use_minors(self):
+        for s in ([7], [4, 10], [3, 5]):
+            verdict = check_tn_single_pair(s)
+            assert verdict.is_tn
+            assert verdict.method == "ExhaustiveMinors"
+
+    def test_only_a_consecutive_identity_fails(self):
+        # the exponents of 3 read 0, 1, 0, 1: every one lies between the
+        # ends', so the diagonal identities hold, but the column turns back
+        x = [2, 12, 4, 24]
+        assert all(v * gcd(x[0], x[-1]) == gcd(x[0], v) * gcd(v, x[-1]) for v in x)
+        verdict = check_tn_single_pair(x)
+        assert not verdict.is_tn
+        assert verdict.witness == check_tn_triple(x).witness
+
+
+class TestFourWayAgreement:
+    """Single-pair, triple, monotone and minors deciders give one verdict,
+    and the single-pair witness is the triple scan's."""
+
+    def test_all_ordered_small_subsets(self):
+        tn = 0
+        for r in (3, 4):
+            for s in permutations(range(1, 15), r):
+                single = check_tn_single_pair(s)
+                triple = check_tn_triple(s)
+                assert single.is_tn == triple.is_tn, s
+                assert single.witness == triple.witness, s
+                assert check_tn_monotone(s).is_tn == triple.is_tn, s
+                assert all_minors_nonnegative(gcd_matrix(s)).all_nonnegative == triple.is_tn, s
+                tn += triple.is_tn
+        assert 0 < tn < 26208
+
+    def test_shuffled_monotone_sets_at_n60(self):
+        rng = SplitMix64(60)
+        outcomes = set()
+        for _ in range(3):
+            s = random_monotone_set(rng, 60, max_exp=40, max_primes=6)
+            for candidate in (s, shuffled(rng, s)):
+                single = check_tn_single_pair(candidate)
+                triple = check_tn_triple(candidate)
+                assert single.is_tn == triple.is_tn == check_tn_monotone(candidate).is_tn
+                assert single.witness == triple.witness
+                outcomes.add(single.is_tn)
+        assert outcomes == {True, False}
 
 
 class TestQuadrupleIdentity:
