@@ -48,6 +48,7 @@ from .tncore import (
     check_tn_triple,
     lcm_from_gcds,
     quotient_closed_form,
+    single_pair_identities_hold,
     tridiagonal_inverse,
 )
 
@@ -89,6 +90,7 @@ __all__ = [
     "quotient_closed_form",
     "reconstruct",
     "search_gcd_closed_nondivisor",
+    "single_pair_identities_hold",
     "solve_right",
     "totient",
     "tridiagonal_inverse",

@@ -154,9 +154,8 @@ def _cmd_order(args) -> tuple[dict, int]:
 
 def _cmd_invert(args) -> tuple[dict, int]:
     s = _load_set(args)
-    verdict = tncore.check_tn_single_pair(s)
-    if verdict.is_tn and len(s) >= 3:
-        tri = tncore.tridiagonal_inverse(s, verdict)
+    if len(s) >= 3 and tncore.single_pair_identities_hold(s):
+        tri = tncore.tridiagonal_inverse(s)
         report = {
             "method": "tridiagonal",
             "sub_super": [str(a) for a in tri.sub_super],
@@ -176,10 +175,9 @@ def _cmd_invert(args) -> tuple[dict, int]:
 
 
 def _divide_report(s: OrderedSet, verify: bool) -> dict:
-    verdict = tncore.check_tn_single_pair(s)
-    closed_form_applies = verdict.is_tn and len(s) >= 3
+    closed_form_applies = len(s) >= 3 and tncore.single_pair_identities_hold(s)
     if closed_form_applies:
-        report = divisibility.divide_via_closed_form(s, verdict)
+        report = divisibility.divide_via_closed_form(s)
     else:
         report = divisibility.divide_oracle(s)
     doc = report.to_json_dict()

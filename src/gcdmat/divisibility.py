@@ -17,7 +17,7 @@ from . import numtheory
 from .errors import InvalidArgumentError
 from .exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix, solve_right
 from .setmodel import OrderedSet, is_gcd_closed, power_set
-from .tncore import TnVerdict, check_tn_single_pair, quotient_closed_form
+from .tncore import TnVerdict, quotient_closed_form, single_pair_identities_hold
 
 METHOD_ORACLE = "oracle"
 METHOD_CLOSED_FORM = "closed-form"
@@ -125,8 +125,9 @@ def search_gcd_closed_nondivisor(
 
     The budget counts candidate sets decided, so runs are reproducible: the
     result only depends on (n, element_bound, budget). Candidates with n >= 3
-    that pass the single-pair TN decider divide by the paper's theorem and
-    skip the oracle.
+    whose gcd matrix is TN divide by the paper's theorem and skip the oracle;
+    the TN check costs O(n) gcds, a few percent of an oracle call. For n = 3
+    every candidate is TN, so a search there never calls the oracle.
     """
     if n < 1:
         raise InvalidArgumentError(f"set size must be >= 1, got {n}")
@@ -138,7 +139,7 @@ def search_gcd_closed_nondivisor(
             return None
         tested += 1
         s = OrderedSet(candidate)
-        if n >= 3 and check_tn_single_pair(s).is_tn:
+        if n >= 3 and single_pair_identities_hold(s):
             continue
         if not divide_oracle(s).divides:
             return s

@@ -12,7 +12,8 @@ indices, matching the usual mathematical notation.
 
 On a TN set the gcd matrix is a single-pair (Green's) matrix: for i <= j,
 (i,j)*(1,n) = (1,j)*(i,n). The fast decider ``check_tn_single_pair`` checks
-only the 2n-1 instances with j in {i, i+1}:
+only the 2n-1 instances with j in {i, i+1} (``single_pair_identities_hold``
+is the same check without a witness):
 
     x_i*(1,n) = (1,i)*(i,n)            1 <= i <= n
     (i,i+1)*(1,n) = (1,i+1)*(i,n)      1 <= i < n
@@ -162,15 +163,29 @@ def _pair_vectors(x: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return [_gcd(x[0], v) for v in x], [_gcd(v, x[-1]) for v in x]
 
 
+def _identities_hold(x: tuple[int, ...], first: list[int], last: list[int]) -> bool:
+    g1n = first[-1]
+    return all(v * g1n == f * l for v, f, l in zip(x, first, last)) and all(
+        _gcd(x[i], x[i + 1]) * g1n == first[i + 1] * last[i] for i in range(len(x) - 1)
+    )
+
+
+def single_pair_identities_hold(s: OrderedSet | Iterable[int]) -> bool:
+    """Whether the gcd matrix of s is TN, from the 2n-1 single-pair identities.
+
+    O(n) gcds whatever the answer, and no witness: for callers that only need
+    the verdict. Sets with fewer than three elements satisfy the identities
+    trivially, and their gcd matrices are always TN.
+    """
+    x = OrderedSet.coerce(s).elements
+    return _identities_hold(x, *_pair_vectors(x))
+
+
 def _single_pair_verdict(s: OrderedSet, first: list[int], last: list[int]) -> TnVerdict:
     x = s.elements
-    n = len(x)
-    if n < 3:
+    if len(x) < 3:
         return _minors_verdict(s)
-    g1n = first[-1]
-    if all(v * g1n == f * l for v, f, l in zip(x, first, last)) and all(
-        _gcd(x[i], x[i + 1]) * g1n == first[i + 1] * last[i] for i in range(n - 1)
-    ):
+    if _identities_hold(x, first, last):
         return TnVerdict(True, METHOD_SINGLE_PAIR)
     witness = _first_violating_triple(x)
     if witness is None:
@@ -181,12 +196,14 @@ def _single_pair_verdict(s: OrderedSet, first: list[int], last: list[int]) -> Tn
 
 
 def check_tn_single_pair(s: OrderedSet | Iterable[int]) -> TnVerdict:
-    """Decide total nonnegativity from the 2n-1 single-pair identities, O(n).
+    """Decide total nonnegativity from the 2n-1 single-pair identities.
 
-    See the module docstring for the identities and the proof. The witness of
-    a negative verdict is the triple scan's, so it means the same as
-    ``check_tn_triple``'s. Sets with fewer than three elements are decided by
-    exhaustive minors.
+    See the module docstring for the identities and the proof. A positive
+    verdict costs O(n) gcds. The witness of a negative verdict is the triple
+    scan's, so it means the same as ``check_tn_triple``'s, and finding it
+    costs that scan's O(n^3); ``single_pair_identities_hold`` gives the bare
+    verdict in O(n) either way. Sets with fewer than three elements are
+    decided by exhaustive minors.
     """
     s = OrderedSet.coerce(s)
     return _single_pair_verdict(s, *_pair_vectors(s.elements))

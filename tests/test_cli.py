@@ -257,6 +257,10 @@ class TestInputHandling:
         assert "Traceback" not in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter has no int/str digit limit",
+)
 class TestBigIntegers:
     """The CLI reads and prints integers past Python's default 4300-digit
     int/str limit, and leaves the limit as it found it."""

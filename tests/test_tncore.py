@@ -27,6 +27,7 @@ from gcdmat.tncore import (
     check_tn_triple,
     lcm_from_gcds,
     quotient_closed_form,
+    single_pair_identities_hold,
     tridiagonal_inverse,
 )
 
@@ -120,6 +121,7 @@ class TestCheckTnSinglePair:
             verdict = check_tn_single_pair(s)
             assert verdict.is_tn
             assert verdict.method == "ExhaustiveMinors"
+            assert single_pair_identities_hold(s)
 
     def test_only_a_consecutive_identity_fails(self):
         # the exponents of 3 read 0, 1, 0, 1: every one lies between the
@@ -129,6 +131,7 @@ class TestCheckTnSinglePair:
         verdict = check_tn_single_pair(x)
         assert not verdict.is_tn
         assert verdict.witness == check_tn_triple(x).witness
+        assert not single_pair_identities_hold(x)
 
 
 class TestFourWayAgreement:
@@ -143,6 +146,7 @@ class TestFourWayAgreement:
                 triple = check_tn_triple(s)
                 assert single.is_tn == triple.is_tn, s
                 assert single.witness == triple.witness, s
+                assert single_pair_identities_hold(s) == triple.is_tn, s
                 assert check_tn_monotone(s).is_tn == triple.is_tn, s
                 assert all_minors_nonnegative(gcd_matrix(s)).all_nonnegative == triple.is_tn, s
                 tn += triple.is_tn
@@ -158,6 +162,7 @@ class TestFourWayAgreement:
                 triple = check_tn_triple(candidate)
                 assert single.is_tn == triple.is_tn == check_tn_monotone(candidate).is_tn
                 assert single.witness == triple.witness
+                assert single_pair_identities_hold(candidate) == triple.is_tn
                 outcomes.add(single.is_tn)
         assert outcomes == {True, False}
 
