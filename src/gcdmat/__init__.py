@@ -44,7 +44,6 @@ from .tncore import (
     TridiagonalInverse,
     check_quadruple_identity,
     check_tn_monotone,
-    check_tn_single_pair,
     check_tn_triple,
     lcm_from_gcds,
     quotient_closed_form,
@@ -65,7 +64,6 @@ __all__ = [
     "all_minors_nonnegative",
     "check_quadruple_identity",
     "check_tn_monotone",
-    "check_tn_single_pair",
     "check_tn_triple",
     "classify_coprime_divisor_chains",
     "determinant",

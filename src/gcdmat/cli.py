@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import divisibility, exactmatrix, generate, setmodel, tncore
-from .errors import Error, TooLargeForExhaustiveMinorsError
+from .errors import Error, NotTnError, SizeTooSmallError, TooLargeForExhaustiveMinorsError
 from .setmodel import ExponentMatrix, OrderedSet
 
 EXIT_OK = 0
@@ -92,7 +92,10 @@ def _load_document(args) -> OrderedSet | ExponentMatrix:
         return OrderedSet(inline)
     if not path:
         raise Error("no input: pass elements inline or use --input PATH|-")
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise Error(f"cannot decode input: {exc}") from None
     return setmodel.parse_input_document(text)
 
 
@@ -154,15 +157,9 @@ def _cmd_order(args) -> tuple[dict, int]:
 
 def _cmd_invert(args) -> tuple[dict, int]:
     s = _load_set(args)
-    if len(s) >= 3 and tncore.single_pair_identities_hold(s):
+    try:
         tri = tncore.tridiagonal_inverse(s)
-        report = {
-            "method": "tridiagonal",
-            "sub_super": [str(a) for a in tri.sub_super],
-            "diagonal": [str(b) for b in tri.diagonal],
-            "inverse": tri.as_matrix().to_json_dict(),
-        }
-    else:
+    except (NotTnError, SizeTooSmallError):
         gcd_m = exactmatrix.gcd_matrix(s)
         inverse = exactmatrix.solve_right(gcd_m, exactmatrix.ExactMatrix.identity(len(s)))
         report = {
@@ -171,23 +168,27 @@ def _cmd_invert(args) -> tuple[dict, int]:
             "diagonal": None,
             "inverse": inverse.to_json_dict(),
         }
+    else:
+        report = {
+            "method": "tridiagonal",
+            "sub_super": [str(a) for a in tri.sub_super],
+            "diagonal": [str(b) for b in tri.diagonal],
+            "inverse": tri.as_matrix().to_json_dict(),
+        }
     return report, EXIT_OK
 
 
 def _divide_report(s: OrderedSet, verify: bool) -> dict:
-    closed_form_applies = len(s) >= 3 and tncore.single_pair_identities_hold(s)
-    if closed_form_applies:
+    try:
         report = divisibility.divide_via_closed_form(s)
-    else:
+    except (NotTnError, SizeTooSmallError):
         report = divisibility.divide_oracle(s)
     doc = report.to_json_dict()
     doc["method"] = report.method
     doc["verified"] = False
     if verify:
         oracle = divisibility.divide_oracle(s)
-        if closed_form_applies and (
-            oracle.divides != report.divides or oracle.witness != report.witness
-        ):
+        if oracle.divides != report.divides or oracle.witness != report.witness:
             raise CrossCheckFailure(
                 f"closed form and oracle disagree on {list(s.elements)}"
             )

@@ -84,11 +84,13 @@ def divide_via_closed_form(
 ) -> DivisibilityReport:
     """Divisibility report from the closed-form quotient, no linear solve.
 
-    Only valid for TN sets with n >= 3, where divisibility always holds; the
-    method field distinguishes this path from the oracle for benchmarking.
+    Only valid for TN sets with n >= 3, where divisibility always holds;
+    other sets raise NotTnError or SizeTooSmallError. The method field
+    distinguishes this path from the oracle for benchmarking. ``verdict`` is
+    ignored: the set alone decides TN.
     """
     s = OrderedSet.coerce(s)
-    witness = quotient_closed_form(s, verdict)
+    witness = quotient_closed_form(s)
     return DivisibilityReport(True, witness=witness, method=METHOD_CLOSED_FORM)
 
 

@@ -61,10 +61,6 @@ class IndexOrderError(Error):
     """Indices must satisfy i <= j."""
 
 
-class SingularDenominatorError(Error):
-    """A closed-form denominator vanished, violating a nonsingularity assumption."""
-
-
 class SizeTooSmallError(Error):
     """The closed form is only defined for sets of at least three elements."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from . import numtheory
@@ -28,6 +28,18 @@ from .errors import (
     NotPrimeError,
     PrimesNotIncreasingError,
 )
+
+
+def _json_int(item: object, field: str) -> int:
+    """A JSON list entry as an int: a JSON integer or a decimal string."""
+    if isinstance(item, int) and not isinstance(item, bool):
+        return item
+    if isinstance(item, str):
+        try:
+            return int(item, 10)
+        except ValueError:
+            pass
+    raise InvalidSetError(f'bad "{field}" entry: {item!r}')
 
 
 class OrderedSet:
@@ -106,18 +118,7 @@ class OrderedSet:
         raw = doc["elements"]
         if not isinstance(raw, list):
             raise InvalidSetError('"elements" must be a list')
-        elems = []
-        for item in raw:
-            if isinstance(item, int) and not isinstance(item, bool):
-                elems.append(item)
-            elif isinstance(item, str):
-                try:
-                    elems.append(int(item, 10))
-                except ValueError:
-                    raise InvalidSetError(f'bad "elements" entry: {item!r}') from None
-            else:
-                raise InvalidSetError(f'bad "elements" entry: {item!r}')
-        return cls(elems)
+        return cls(_json_int(item, "elements") for item in raw)
 
     def to_json_dict(self) -> dict:
         return {"elements": [str(x) for x in self._elements]}
@@ -200,18 +201,7 @@ class ExponentMatrix:
             raise InvalidSetError('"primes" and "exponents" must be lists')
         if not all(isinstance(row, list) for row in rows):
             raise InvalidSetError('every "exponents" row must be a list')
-        primes = []
-        for item in doc["primes"]:
-            if isinstance(item, int) and not isinstance(item, bool):
-                primes.append(item)
-            elif isinstance(item, str):
-                try:
-                    primes.append(int(item, 10))
-                except ValueError:
-                    raise InvalidSetError(f'bad "primes" entry: {item!r}') from None
-            else:
-                raise InvalidSetError(f'bad "primes" entry: {item!r}')
-        return cls(primes, rows)
+        return cls((_json_int(item, "primes") for item in doc["primes"]), rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,16 +368,7 @@ def power_set(s: OrderedSet | Iterable[int], e: int) -> OrderedSet:
 
 def reconstruct(m: ExponentMatrix) -> OrderedSet:
     """The ordered set whose exponent matrix round-trips to m."""
-    return OrderedSet(
-        _product(p**e for p, e in zip(m.primes, row)) for row in m.exponents
-    )
-
-
-def _product(values: Iterable[int]) -> int:
-    result = 1
-    for v in values:
-        result *= v
-    return result
+    return OrderedSet(prod(p**e for p, e in zip(m.primes, row)) for row in m.exponents)
 
 
 def parse_input_document(text: str) -> OrderedSet | ExponentMatrix:

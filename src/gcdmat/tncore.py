@@ -11,9 +11,8 @@ Throughout, (i, j) written in formulas means gcd(x_i, x_j) with 1-based
 indices, matching the usual mathematical notation.
 
 On a TN set the gcd matrix is a single-pair (Green's) matrix: for i <= j,
-(i,j)*(1,n) = (1,j)*(i,n). The fast decider ``check_tn_single_pair`` checks
-only the 2n-1 instances with j in {i, i+1} (``single_pair_identities_hold``
-is the same check without a witness):
+(i,j)*(1,n) = (1,j)*(i,n). TN is decided from only the 2n-1 instances with
+j in {i, i+1}, in O(n) gcds:
 
     x_i*(1,n) = (1,i)*(i,n)            1 <= i <= n
     (i,i+1)*(1,n) = (1,i+1)*(i,n)      1 <= i < n
@@ -24,9 +23,13 @@ e_i + a = min(a, e_i) + min(e_i, b), which fails for e_i < a and for e_i > b,
 so a <= e_i <= b. The consecutive identity then reads
 min(e_i, e_{i+1}) + a = a + e_i, so e_i <= e_{i+1}. Every column is monotone,
 hence the set is TN; conversely monotone columns satisfy both identities.
-The deciders ``check_tn_triple`` (the literal O(n^3) triple scan),
-``check_tn_monotone`` and exhaustive minors stay as independent cross-checks,
-and the closed forms read the (1,i) and (i,n) vectors the decider computed.
+
+``single_pair_identities_hold`` gives this verdict. Every closed form makes
+the same check on the set it is given and reads the (1,i) and (i,n) vectors
+the check computed, so its result depends on the set alone. The deciders
+``check_tn_triple`` (the literal O(n^3) triple scan, whose negative verdict
+names the first violating triple), ``check_tn_monotone`` and exhaustive
+minors stay as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
     NotTnError,
-    SingularDenominatorError,
     SizeTooSmallError,
 )
 from .exactmatrix import ExactMatrix, all_minors_nonnegative, gcd_matrix
@@ -50,7 +52,6 @@ from .setmodel import OrderedSet, pow_matrix
 METHOD_TRIPLE = "TripleIdentity"
 METHOD_MONOTONE = "ColumnMonotone"
 METHOD_MINORS = "ExhaustiveMinors"
-METHOD_SINGLE_PAIR = "SinglePair"
 
 
 @dataclass(frozen=True)
@@ -158,55 +159,27 @@ def check_tn_triple(s: OrderedSet | Iterable[int]) -> TnVerdict:
     return TnVerdict(witness is None, METHOD_TRIPLE, witness)
 
 
-def _pair_vectors(x: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The vectors (1,i) and (i,n) for i = 1..n, as 0-based lists."""
-    return [_gcd(x[0], v) for v in x], [_gcd(v, x[-1]) for v in x]
-
-
-def _identities_hold(x: tuple[int, ...], first: list[int], last: list[int]) -> bool:
+def _single_pair_vectors(x: tuple[int, ...]) -> tuple[list[int], list[int]] | None:
+    """The vectors (1,i) and (i,n) for i = 1..n, as 0-based lists, or None
+    when one of the 2n-1 single-pair identities fails (the set is not TN)."""
+    first = [_gcd(x[0], v) for v in x]
+    last = [_gcd(v, x[-1]) for v in x]
     g1n = first[-1]
-    return all(v * g1n == f * l for v, f, l in zip(x, first, last)) and all(
+    holds = all(v * g1n == f * l for v, f, l in zip(x, first, last)) and all(
         _gcd(x[i], x[i + 1]) * g1n == first[i + 1] * last[i] for i in range(len(x) - 1)
     )
+    return (first, last) if holds else None
 
 
 def single_pair_identities_hold(s: OrderedSet | Iterable[int]) -> bool:
     """Whether the gcd matrix of s is TN, from the 2n-1 single-pair identities.
 
-    O(n) gcds whatever the answer, and no witness: for callers that only need
-    the verdict. Sets with fewer than three elements satisfy the identities
-    trivially, and their gcd matrices are always TN.
+    See the module docstring for the identities and the proof. O(n) gcds
+    whatever the answer, and no witness (``check_tn_triple`` names the first
+    violating triple). Sets with fewer than three elements satisfy the
+    identities trivially, and their gcd matrices are always TN.
     """
-    x = OrderedSet.coerce(s).elements
-    return _identities_hold(x, *_pair_vectors(x))
-
-
-def _single_pair_verdict(s: OrderedSet, first: list[int], last: list[int]) -> TnVerdict:
-    x = s.elements
-    if len(x) < 3:
-        return _minors_verdict(s)
-    if _identities_hold(x, first, last):
-        return TnVerdict(True, METHOD_SINGLE_PAIR)
-    witness = _first_violating_triple(x)
-    if witness is None:
-        raise InternalConsistencyError(
-            f"single-pair identities fail but the triple scan passes on {s!r}"
-        )
-    return TnVerdict(False, METHOD_SINGLE_PAIR, witness)
-
-
-def check_tn_single_pair(s: OrderedSet | Iterable[int]) -> TnVerdict:
-    """Decide total nonnegativity from the 2n-1 single-pair identities.
-
-    See the module docstring for the identities and the proof. A positive
-    verdict costs O(n) gcds. The witness of a negative verdict is the triple
-    scan's, so it means the same as ``check_tn_triple``'s, and finding it
-    costs that scan's O(n^3); ``single_pair_identities_hold`` gives the bare
-    verdict in O(n) either way. Sets with fewer than three elements are
-    decided by exhaustive minors.
-    """
-    s = OrderedSet.coerce(s)
-    return _single_pair_verdict(s, *_pair_vectors(s.elements))
+    return _single_pair_vectors(OrderedSet.coerce(s).elements) is not None
 
 
 def check_tn_monotone(s: OrderedSet | Iterable[int]) -> TnVerdict:
@@ -230,17 +203,12 @@ def check_tn_monotone(s: OrderedSet | Iterable[int]) -> TnVerdict:
     return TnVerdict(True, METHOD_MONOTONE)
 
 
-def _require_tn(s: OrderedSet, verdict: TnVerdict | None) -> tuple[list[int], list[int]]:
-    """Raise NotTnError unless s is TN; return the (1,i) and (i,n) vectors.
-
-    Without a verdict the single-pair decider settles it.
-    """
-    first, last = _pair_vectors(s.elements)
-    if verdict is None:
-        verdict = _single_pair_verdict(s, first, last)
-    if not verdict.is_tn:
-        raise NotTnError(f"gcd matrix of {s!r} is not totally nonnegative: {verdict}")
-    return first, last
+def _require_tn(s: OrderedSet) -> tuple[list[int], list[int]]:
+    """Raise NotTnError unless s is TN; return the (1,i) and (i,n) vectors."""
+    vectors = _single_pair_vectors(s.elements)
+    if vectors is None:
+        raise NotTnError(f"gcd matrix of {s!r} is not totally nonnegative")
+    return vectors
 
 
 def check_quadruple_identity(
@@ -248,20 +216,17 @@ def check_quadruple_identity(
 ) -> QuadrupleReport:
     """Verify (i,k)*(j,l) = (i,l)*(j,k) for all 1 <= i <= j <= k <= l <= n.
 
-    Requires a totally nonnegative set. The two-index specialization
-    (i,j)*(1,n) = (1,j)*(i,n) is re-checked explicitly for every i <= j.
-    Violations are reported as the first failing quadruple.
+    Requires a totally nonnegative set. The check is the O(n^2) sweep of the
+    two-index identity (i,j)*(1,n) = (1,j)*(i,n) for every i <= j; the
+    four-index identity follows from it algebraically, since both sides
+    equal (1,k)*(1,l)*(i,n)*(j,n)/(1,n)^2. A violation is reported as the
+    failing quadruple (1, i, j, n). ``verdict`` is ignored: the set alone
+    decides TN.
     """
     s = OrderedSet.coerce(s)
-    first, last = _require_tn(s, verdict)
+    first, last = _require_tn(s)
     x = s.elements
     n = len(x)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                for l in range(k, n):
-                    if _gcd(x[i], x[k]) * _gcd(x[j], x[l]) != _gcd(x[i], x[l]) * _gcd(x[j], x[k]):
-                        return QuadrupleReport(False, (i + 1, j + 1, k + 1, l + 1))
     g1n = first[-1]
     for i in range(n):
         for j in range(i, n):
@@ -275,7 +240,8 @@ def lcm_from_gcds(
 ) -> int:
     """lcm(x_i, x_j) computed as (1,i)*(j,n) / (1,n), valid on TN sets.
 
-    Indices are 1-based with i <= j.
+    Indices are 1-based with i <= j. ``verdict`` is ignored: the set alone
+    decides TN.
     """
     s = OrderedSet.coerce(s)
     n = len(s)
@@ -283,7 +249,7 @@ def lcm_from_gcds(
         raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{n}")
     if i > j:
         raise IndexOrderError(f"need i <= j, got ({i}, {j})")
-    first, last = _require_tn(s, verdict)
+    first, last = _require_tn(s)
     numerator = first[i - 1] * last[j - 1]
     g1n = first[-1]
     if numerator % g1n:
@@ -306,22 +272,24 @@ def tridiagonal_inverse(
         b_n     = -(1,n-1)/(1,n) * a_n
 
     The assembled symmetric tridiagonal matrix times the gcd matrix is the
-    identity, exactly.
+    identity, exactly. ``verdict`` is ignored: the set alone decides TN.
+
+    No denominator vanishes on a TN set. With denom_i = (i,n)*(1,i+1) -
+    (i+1,n)*(1,i), the single-pair identities give
+    x_i*x_{i+1} - (i,i+1)^2 = (1,i+1)*(i,n)*(-denom_i)/(1,n)^2. The left side
+    is a 2x2 principal minor of the positive definite gcd matrix, positive
+    since (i,i+1) <= min(x_i, x_{i+1}) < max(x_i, x_{i+1}) for distinct
+    elements. Hence denom_i < 0, and every a_{i+1} is negative.
     """
     s = OrderedSet.coerce(s)
     n = len(s)
     if n < 3:
         raise SizeTooSmallError(f"tridiagonal inverse needs n >= 3, got n = {n}")
-    first, last = _require_tn(s, verdict)  # first[i] = (1,i+1), last[i] = (i+1,n)
+    first, last = _require_tn(s)  # first[i] = (1,i+1), last[i] = (i+1,n)
     g1n = first[-1]
     a: list[Fraction] = []  # a[i] holds a_{i+2}
     for i in range(n - 1):
-        denom = last[i] * first[i + 1] - last[i + 1] * first[i]
-        if denom == 0:
-            raise SingularDenominatorError(
-                f"vanishing denominator at position {i + 2} for {s!r}"
-            )
-        a.append(Fraction(g1n, denom))
+        a.append(Fraction(g1n, last[i] * first[i + 1] - last[i + 1] * first[i]))
     b = [-Fraction(last[1], g1n) * a[0]]
     for i in range(1, n - 1):
         factor = last[i - 1] * first[i + 1] - last[i + 1] * first[i - 1]
@@ -344,14 +312,14 @@ def quotient_closed_form(
         U[n-1][n] = x_{n-1} / (n-1,n)
         U[i][n] = (1,i) / (1,n)         i != n, n-1
 
-    and zero elsewhere. Every division is exact; a remainder means the input
-    was not TN after all (or a bug) and raises.
+    and zero elsewhere. Every division is exact; a remainder means a bug and
+    raises. ``verdict`` is ignored: the set alone decides TN.
     """
     s = OrderedSet.coerce(s)
     n = len(s)
     if n < 3:
         raise SizeTooSmallError(f"closed-form quotient needs n >= 3, got n = {n}")
-    first, last = _require_tn(s, verdict)  # first[i] = (1,i+1), last[i] = (i+1,n)
+    first, last = _require_tn(s)  # first[i] = (1,i+1), last[i] = (i+1,n)
     x = s.elements
 
     def exact(num: int, den: int, where: str) -> int:

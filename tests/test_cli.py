@@ -38,6 +38,13 @@ class TestDivideVerb:
         assert doc["violation"] == [2, 1, "3/4"]
         assert doc["method"] == "oracle"
 
+    def test_two_elements_use_oracle(self, capsys):
+        code, doc, _ = run_json(capsys, "divide", "2", "3", "--verify")
+        assert code == 0
+        assert doc["method"] == "oracle"
+        assert doc["witness"] == [["0", "2"], ["3", "0"]]
+        assert doc["verified"] is True
+
     def test_verify_flag_passes(self, capsys):
         code, doc, _ = run_json(capsys, "divide", "2", "6", "12", "--verify")
         assert code == 0
@@ -132,6 +139,13 @@ class TestInvertVerb:
         assert doc["method"] == "solve"
         inverse = ExactMatrix.from_json_dict(doc["inverse"])
         assert inverse * gcd_matrix([2, 3, 4]) == ExactMatrix.identity(3)
+
+    def test_solve_fallback_for_two_elements(self, capsys):
+        code, doc, _ = run_json(capsys, "invert", "4", "6")
+        assert code == 0
+        assert doc["method"] == "solve"
+        inverse = ExactMatrix.from_json_dict(doc["inverse"])
+        assert inverse * gcd_matrix([4, 6]) == ExactMatrix.identity(2)
 
 
 class TestPowerDivideVerb:
@@ -230,6 +244,20 @@ class TestInputHandling:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, out, err = run(capsys, "divide", "--input", str(tmp_path / "absent.txt"))
         assert code == 2
+
+    def test_undecodable_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "divide", "--input", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_undecodable_stdin_exits_two(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "divide", "--input", "-")
+        assert code == 2
+        assert err.startswith("error: cannot decode input") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, document",

@@ -85,6 +85,23 @@ class TestExponentMatrix:
         assert ExponentMatrix.from_json_dict(doc) == m
 
 
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (OrderedSet.from_json_dict, {"elements": ["2", "x"]}, 'bad "elements" entry: \'x\''),
+        (OrderedSet.from_json_dict, {"elements": [2, True]}, 'bad "elements" entry: True'),
+        (ExponentMatrix.from_json_dict, {"primes": [2.5], "exponents": [[1]]},
+         'bad "primes" entry: 2.5'),
+        (ExponentMatrix.from_json_dict, {"primes": ["q"], "exponents": [[1]]},
+         'bad "primes" entry: \'q\''),
+    ],
+)
+def test_bad_json_entries_are_named(parse, doc, message):
+    with pytest.raises(InvalidSetError) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 class TestPowMatrix:
     def test_worked_example_both_orderings(self):
         m = setmodel.pow_matrix(S_MONOTONE)

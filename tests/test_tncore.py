@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from gcdmat import tncore
+from gcdmat.divisibility import divide_via_closed_form
 from gcdmat.errors import (
     IndexOrderError,
     NotTnError,
@@ -21,9 +22,9 @@ from gcdmat.generate import SplitMix64, random_monotone_exponents, random_monoto
 from gcdmat.numtheory import lcm
 from gcdmat.setmodel import is_column_monotone, pow_matrix, power_set, reconstruct
 from gcdmat.tncore import (
+    TnVerdict,
     check_quadruple_identity,
     check_tn_monotone,
-    check_tn_single_pair,
     check_tn_triple,
     lcm_from_gcds,
     quotient_closed_form,
@@ -107,20 +108,15 @@ class TestThreeWayAgreement:
 
 
 class TestCheckTnSinglePair:
+    """The 2n-1 single-pair identities, the TN decision behind every closed form."""
+
     def test_examples(self):
-        verdict = check_tn_single_pair([2, 6, 12])
-        assert verdict.is_tn and verdict.method == "SinglePair"
-        assert check_tn_single_pair(PASCAL_SET).is_tn
-        verdict = check_tn_single_pair([2, 3, 4])
-        assert not verdict.is_tn
-        assert verdict.method == "SinglePair"
-        assert verdict.witness == (1, 2, 3)
+        assert single_pair_identities_hold([2, 6, 12])
+        assert single_pair_identities_hold(PASCAL_SET)
+        assert not single_pair_identities_hold([2, 3, 4])
 
     def test_small_sets_use_minors(self):
         for s in ([7], [4, 10], [3, 5]):
-            verdict = check_tn_single_pair(s)
-            assert verdict.is_tn
-            assert verdict.method == "ExhaustiveMinors"
             assert single_pair_identities_hold(s)
 
     def test_only_a_consecutive_identity_fails(self):
@@ -128,24 +124,17 @@ class TestCheckTnSinglePair:
         # ends', so the diagonal identities hold, but the column turns back
         x = [2, 12, 4, 24]
         assert all(v * gcd(x[0], x[-1]) == gcd(x[0], v) * gcd(v, x[-1]) for v in x)
-        verdict = check_tn_single_pair(x)
-        assert not verdict.is_tn
-        assert verdict.witness == check_tn_triple(x).witness
         assert not single_pair_identities_hold(x)
 
 
 class TestFourWayAgreement:
-    """Single-pair, triple, monotone and minors deciders give one verdict,
-    and the single-pair witness is the triple scan's."""
+    """Single-pair, triple, monotone and minors deciders give one verdict."""
 
     def test_all_ordered_small_subsets(self):
         tn = 0
         for r in (3, 4):
             for s in permutations(range(1, 15), r):
-                single = check_tn_single_pair(s)
                 triple = check_tn_triple(s)
-                assert single.is_tn == triple.is_tn, s
-                assert single.witness == triple.witness, s
                 assert single_pair_identities_hold(s) == triple.is_tn, s
                 assert check_tn_monotone(s).is_tn == triple.is_tn, s
                 assert all_minors_nonnegative(gcd_matrix(s)).all_nonnegative == triple.is_tn, s
@@ -158,13 +147,29 @@ class TestFourWayAgreement:
         for _ in range(3):
             s = random_monotone_set(rng, 60, max_exp=40, max_primes=6)
             for candidate in (s, shuffled(rng, s)):
-                single = check_tn_single_pair(candidate)
-                triple = check_tn_triple(candidate)
-                assert single.is_tn == triple.is_tn == check_tn_monotone(candidate).is_tn
-                assert single.witness == triple.witness
-                assert single_pair_identities_hold(candidate) == triple.is_tn
-                outcomes.add(single.is_tn)
+                single = single_pair_identities_hold(candidate)
+                assert single == check_tn_triple(candidate).is_tn
+                assert single == check_tn_monotone(candidate).is_tn
+                outcomes.add(single)
         assert outcomes == {True, False}
+
+
+class TestVerdictArgumentIsIgnored:
+    """A false positive verdict cannot make a closed form accept a non-TN set."""
+
+    @pytest.mark.parametrize("x", [[2, 3, 4], [6, 10, 15]])
+    def test_false_verdict_raises_not_tn(self, x):
+        lie = TnVerdict(True, "TripleIdentity")
+        for closed_form in (
+            tridiagonal_inverse,
+            quotient_closed_form,
+            check_quadruple_identity,
+            divide_via_closed_form,
+        ):
+            with pytest.raises(NotTnError):
+                closed_form(x, lie)
+        with pytest.raises(NotTnError):
+            lcm_from_gcds(x, 1, 2, lie)
 
 
 class TestQuadrupleIdentity:
@@ -232,10 +237,12 @@ class TestTridiagonalInverse:
         for _ in range(30):
             s = reconstruct(random_monotone_exponents(rng, rng.randint(3, 7)))
             verdict = check_tn_triple(s)
-            tri = tridiagonal_inverse(s, verdict).as_matrix()
+            tri = tridiagonal_inverse(s, verdict)
+            assert all(a < 0 for a in tri.sub_super)
+            inverse = tri.as_matrix()
             g = gcd_matrix(s)
-            assert tri * g == ExactMatrix.identity(len(s))
-            assert tri == solve_right(g, ExactMatrix.identity(len(s)))
+            assert inverse * g == ExactMatrix.identity(len(s))
+            assert inverse == solve_right(g, ExactMatrix.identity(len(s)))
 
 
 class TestQuotientClosedForm:
