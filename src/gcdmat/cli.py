@@ -11,10 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from . import divisibility, exactmatrix, generate, setmodel, tncore
 from .errors import Error, NotTnError, SizeTooSmallError, TooLargeForExhaustiveMinorsError
+from .exactmatrix import ExactMatrix
 from .setmodel import ExponentMatrix, OrderedSet
 
 EXIT_OK = 0
@@ -24,7 +28,7 @@ EXIT_CROSS_CHECK = 3
 
 
 class CrossCheckFailure(Exception):
-    """Closed form and oracle disagreed under --verify."""
+    """A --verify cross-check failed."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,12 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("analyze", parents=[common, reads_set],
-                       help="set-class predicates, TN verdict, order search")
-    p.add_argument("--minor-cap", type=int, default=exactmatrix.DEFAULT_MINOR_CAP,
-                   help="max order for the exhaustive minor confirmation")
-
     for verb, help_text in (
+        ("analyze", "set-class predicates, TN verdict, order search"),
         ("gcd-matrix", "print the gcd matrix"),
         ("lcm-matrix", "print the lcm matrix"),
         ("pow", "print the prime-exponent matrix"),
@@ -110,38 +110,35 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     monotone = setmodel.is_column_monotone(setmodel.pow_matrix(s))
     verdict = tncore.check_tn_triple(s)
     try:
-        minors = exactmatrix.all_minors_nonnegative(
-            exactmatrix.gcd_matrix(s), size_cap=args.minor_cap
-        )
-        minors_ok = minors.all_nonnegative
+        minors_ok = exactmatrix.all_minors_nonnegative(exactmatrix.gcd_matrix(s)).all_nonnegative
     except TooLargeForExhaustiveMinorsError:
         minors_ok = None
     order = setmodel.find_monotone_order(s)
     report = {
-        "elements": [str(x) for x in s],
+        "elements": s,
         "n": len(s),
         "gcd_closed": setmodel.is_gcd_closed(s),
         "factor_closed": setmodel.is_factor_closed(s),
-        "coprime_chains": [[str(x) for x in block] for block in chains] if chains else None,
+        "coprime_chains": [OrderedSet(block) for block in chains] if chains else None,
         "column_monotone": monotone.monotone,
-        "column_directions": list(monotone.directions),
-        "tn": verdict.to_json_dict(),
+        "column_directions": monotone.directions,
+        "tn": verdict,
         "minors_nonnegative": minors_ok,
-        "monotone_order": list(order) if order else None,
+        "monotone_order": order,
     }
     return report, EXIT_OK
 
 
-def _cmd_gcd_matrix(args) -> tuple[dict, int]:
-    return exactmatrix.gcd_matrix(_load_set(args)).to_json_dict(), EXIT_OK
+def _cmd_gcd_matrix(args) -> tuple[ExactMatrix, int]:
+    return exactmatrix.gcd_matrix(_load_set(args)), EXIT_OK
 
 
-def _cmd_lcm_matrix(args) -> tuple[dict, int]:
-    return exactmatrix.lcm_matrix(_load_set(args)).to_json_dict(), EXIT_OK
+def _cmd_lcm_matrix(args) -> tuple[ExactMatrix, int]:
+    return exactmatrix.lcm_matrix(_load_set(args)), EXIT_OK
 
 
-def _cmd_pow(args) -> tuple[dict, int]:
-    return setmodel.pow_matrix(_load_set(args)).to_json_dict(), EXIT_OK
+def _cmd_pow(args) -> tuple[ExponentMatrix, int]:
+    return setmodel.pow_matrix(_load_set(args)), EXIT_OK
 
 
 def _cmd_order(args) -> tuple[dict, int]:
@@ -149,8 +146,8 @@ def _cmd_order(args) -> tuple[dict, int]:
     image = setmodel.find_monotone_order(s)
     report = {
         "orderable": image is not None,
-        "image": list(image) if image else None,
-        "reordered": [str(x) for x in s.permute(image)] if image else None,
+        "image": image,
+        "reordered": s.permute(image) if image else None,
     }
     return report, EXIT_OK if image else EXIT_NEGATIVE
 
@@ -160,55 +157,61 @@ def _cmd_invert(args) -> tuple[dict, int]:
     try:
         tri = tncore.tridiagonal_inverse(s)
     except (NotTnError, SizeTooSmallError):
-        gcd_m = exactmatrix.gcd_matrix(s)
-        inverse = exactmatrix.solve_right(gcd_m, exactmatrix.ExactMatrix.identity(len(s)))
-        report = {
-            "method": "solve",
-            "sub_super": None,
-            "diagonal": None,
-            "inverse": inverse.to_json_dict(),
-        }
+        inverse = exactmatrix.solve_right(exactmatrix.gcd_matrix(s), ExactMatrix.identity(len(s)))
+        report = {"method": "solve", "sub_super": None, "diagonal": None, "inverse": inverse}
     else:
         report = {
             "method": "tridiagonal",
-            "sub_super": [str(a) for a in tri.sub_super],
-            "diagonal": [str(b) for b in tri.diagonal],
-            "inverse": tri.as_matrix().to_json_dict(),
+            "sub_super": tri.sub_super,
+            "diagonal": tri.diagonal,
+            "inverse": tri.as_matrix(),
         }
     return report, EXIT_OK
 
 
-def _divide_report(s: OrderedSet, verify: bool) -> dict:
+def _divisibility(report: divisibility.DivisibilityReport, **extra) -> dict:
+    """A divisibility report's fields, its witness as the bare entry grid,
+    then the verb's own keys."""
+    witness = report.witness.entries if report.witness is not None else None
+    return {**vars(report), "witness": witness, **extra}
+
+
+def _witness_holds(s: OrderedSet, witness: ExactMatrix) -> bool:
+    """witness * gcd_matrix(s) == lcm_matrix(s), in integers. The gcd matrix
+    is symmetric, so its rows serve as its columns."""
+    g = [[gcd(a, b) for b in s] for a in s]
+    return witness.is_integral() and all(
+        sum(w.numerator * x for w, x in zip(row, col)) == lcm(a, b)
+        for row, a in zip(witness, s)
+        for col, b in zip(g, s)
+    )
+
+
+def _cmd_divide(args) -> tuple[dict, int]:
+    """--verify checks the closed form against the oracle, and the oracle's
+    witness by its product; a non-divisor has no second path, so it stays
+    unverified."""
+    s = _load_set(args)
     try:
         report = divisibility.divide_via_closed_form(s)
     except (NotTnError, SizeTooSmallError):
         report = divisibility.divide_oracle(s)
-    doc = report.to_json_dict()
-    doc["method"] = report.method
-    doc["verified"] = False
-    if verify:
-        oracle = divisibility.divide_oracle(s)
-        if oracle.divides != report.divides or oracle.witness != report.witness:
-            raise CrossCheckFailure(
-                f"closed form and oracle disagree on {list(s.elements)}"
-            )
-        doc["verified"] = True
-    return doc
-
-
-def _cmd_divide(args) -> tuple[dict, int]:
-    doc = _divide_report(_load_set(args), args.verify)
-    return doc, EXIT_OK if doc["divides"] else EXIT_NEGATIVE
+    verified = args.verify and report.divides
+    if verified and report.method == divisibility.METHOD_CLOSED_FORM:
+        if divisibility.divide_oracle(s).witness != report.witness:
+            raise CrossCheckFailure(f"closed form and oracle disagree on {list(s.elements)}")
+    elif verified and not _witness_holds(s, report.witness):
+        raise CrossCheckFailure(f"oracle witness * gcd != lcm on {list(s.elements)}")
+    return _divisibility(report, verified=verified), EXIT_OK if report.divides else EXIT_NEGATIVE
 
 
 def _cmd_power_divide(args) -> tuple[dict, int]:
     s = _load_set(args)
     report = divisibility.divide_power(s, args.power)
-    doc = report.to_json_dict()
-    doc["method"] = report.method
-    doc["power"] = args.power
-    doc["power_elements"] = [str(x) for x in setmodel.power_set(s, args.power)]
-    return doc, EXIT_OK if doc["divides"] else EXIT_NEGATIVE
+    doc = _divisibility(
+        report, power=args.power, power_elements=setmodel.power_set(s, args.power)
+    )
+    return doc, EXIT_OK if report.divides else EXIT_NEGATIVE
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -235,23 +238,12 @@ def _cmd_generate(args) -> tuple[dict, int]:
         rng = generate.SplitMix64(args.seed)
         matrix = generate.random_monotone_exponents(rng, args.n, args.max_exp, args.max_primes)
         s = setmodel.reconstruct(matrix)
-    matrix = setmodel.pow_matrix(s)
-    report = {
-        "pattern": args.pattern,
-        "elements": [str(x) for x in s],
-        "primes": [str(p) for p in matrix.primes],
-        "exponents": [list(row) for row in matrix.exponents],
-    }
-    return report, EXIT_OK
+    return {"pattern": args.pattern, "elements": s, **_json(setmodel.pow_matrix(s))}, EXIT_OK
 
 
 def _cmd_search(args) -> tuple[dict, int]:
     found = divisibility.search_gcd_closed_nondivisor(args.size, args.bound, args.budget)
-    report = {
-        "found": found is not None,
-        "elements": [str(x) for x in found] if found else None,
-    }
-    return report, EXIT_OK if found else EXIT_NEGATIVE
+    return {"found": found is not None, "elements": found}, EXIT_OK if found else EXIT_NEGATIVE
 
 
 _HANDLERS = {
@@ -266,6 +258,31 @@ _HANDLERS = {
     "generate": _cmd_generate,
     "search": _cmd_search,
 }
+
+
+def _json(value):
+    """The one output format; the JSON and the text rendering both read it.
+
+    Set elements, primes, matrix entries and fractions become decimal strings
+    of any length; counts, indices and exponents stay numbers. A matrix is
+    {"rows", "cols", "entries"}, an exponent matrix {"primes", "exponents"},
+    and a report dataclass its fields in order.
+    """
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, OrderedSet):
+        return [str(x) for x in value]
+    if isinstance(value, ExactMatrix):
+        return {"rows": value.rows, "cols": value.cols, "entries": _json(value.entries)}
+    if isinstance(value, ExponentMatrix):
+        return {"primes": [str(p) for p in value.primes], "exponents": _json(value.exponents)}
+    if is_dataclass(value):
+        return _json(vars(value))
+    return value
 
 
 def _scalar(value) -> str:
@@ -325,6 +342,7 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = _HANDLERS[args.verb](args)
+        report = _json(report)
     except CrossCheckFailure as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK

@@ -45,18 +45,6 @@ class DivisibilityReport:
     def left_witness(self) -> ExactMatrix | None:
         return self.witness.transpose() if self.witness is not None else None
 
-    def to_json_dict(self) -> dict:
-        violation = None
-        if self.violation is not None:
-            i, j, value = self.violation
-            violation = [i, j, str(value)]
-        return {
-            "divides": self.divides,
-            "side": self.side,
-            "witness": [[str(e) for e in row] for row in self.witness] if self.witness else None,
-            "violation": violation,
-        }
-
 
 def _report_from_quotient(quotient: ExactMatrix, method: str) -> DivisibilityReport:
     for i, row in enumerate(quotient):

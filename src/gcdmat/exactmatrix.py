@@ -120,22 +120,6 @@ class ExactMatrix:
         cols = tuple(col_idx)
         return ExactMatrix([[self._entries[i][j] for j in cols] for i in row_idx])
 
-    # --- text / JSON formats ------------------------------------------------
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self._entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(e) for e in row] for row in self._entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExactMatrix":
-        return cls([[Fraction(e) for e in row] for row in doc["entries"]])
-
 
 def gcd_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = gcd(x_i, x_j)."""

@@ -95,7 +95,7 @@ class OrderedSet:
             raise InvalidSetError(f"{list(image)} is not a permutation of 1..{len(self)}")
         return OrderedSet(self._elements[i - 1] for i in image)
 
-    # --- text / JSON formats ------------------------------------------------
+    # --- input formats -------------------------------------------------------
 
     @classmethod
     def from_text(cls, text: str) -> "OrderedSet":
@@ -119,12 +119,6 @@ class OrderedSet:
         if not isinstance(raw, list):
             raise InvalidSetError('"elements" must be a list')
         return cls(_json_int(item, "elements") for item in raw)
-
-    def to_json_dict(self) -> dict:
-        return {"elements": [str(x) for x in self._elements]}
-
-    def to_text(self) -> str:
-        return "\n".join(str(x) for x in self._elements)
 
 
 class ExponentMatrix:
@@ -202,17 +196,6 @@ class ExponentMatrix:
         if not all(isinstance(row, list) for row in rows):
             raise InvalidSetError('every "exponents" row must be a list')
         return cls((_json_int(item, "primes") for item in doc["primes"]), rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "primes": [str(p) for p in self._primes],
-            "exponents": [list(row) for row in self._exponents],
-        }
-
-    def to_text(self) -> str:
-        lines = ["primes: " + " ".join(str(p) for p in self._primes)]
-        lines += [" ".join(str(e) for e in row) for row in self._exponents]
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,6 @@ class TnVerdict:
     def __bool__(self) -> bool:
         return self.is_tn
 
-    def to_json_dict(self) -> dict:
-        return {
-            "is_tn": self.is_tn,
-            "method": self.method,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 @dataclass(frozen=True)
 class QuadrupleReport:

@@ -62,6 +62,23 @@ class TestDivideVerb:
         assert code == 3
         assert "disagree" in err
 
+    def test_verify_checks_an_oracle_witness(self, capsys, monkeypatch):
+        from gcdmat.divisibility import DivisibilityReport
+
+        monkeypatch.setattr(
+            cli.divisibility,
+            "divide_oracle",
+            lambda s: DivisibilityReport(True, witness=ExactMatrix.identity(len(s))),
+        )
+        code, out, err = run(capsys, "divide", "2", "3", "--verify")
+        assert code == 3
+        assert "lcm" in err
+
+    def test_verify_leaves_a_nondivisor_unverified(self, capsys):
+        code, doc, _ = run_json(capsys, "divide", "1", "2", "3", "12", "--verify")
+        assert code == 1
+        assert doc["verified"] is False
+
 
 class TestAnalyzeVerb:
     def test_six_element_report(self, capsys):
@@ -79,8 +96,6 @@ class TestAnalyzeVerb:
         code, doc, _ = run_json(capsys, "analyze", *elems)
         assert code == 0
         assert doc["minors_nonnegative"] is None  # 9 > default cap of 8
-        code, doc, _ = run_json(capsys, "analyze", *elems, "--minor-cap", "9")
-        assert doc["minors_nonnegative"] is True
 
     def test_coprime_chains_rendering(self, capsys):
         code, doc, _ = run_json(capsys, "analyze", "2", "4", "3", "9")
@@ -130,21 +145,21 @@ class TestInvertVerb:
         assert doc["method"] == "tridiagonal"
         assert doc["sub_super"] == ["-1/4", "-1/6"]
         assert doc["diagonal"] == ["3/4", "5/12", "1/6"]
-        inverse = ExactMatrix.from_json_dict(doc["inverse"])
+        inverse = ExactMatrix(doc["inverse"]["entries"])
         assert inverse * gcd_matrix([2, 6, 12]) == ExactMatrix.identity(3)
 
     def test_solve_fallback_for_non_tn(self, capsys):
         code, doc, _ = run_json(capsys, "invert", "2", "3", "4")
         assert code == 0
         assert doc["method"] == "solve"
-        inverse = ExactMatrix.from_json_dict(doc["inverse"])
+        inverse = ExactMatrix(doc["inverse"]["entries"])
         assert inverse * gcd_matrix([2, 3, 4]) == ExactMatrix.identity(3)
 
     def test_solve_fallback_for_two_elements(self, capsys):
         code, doc, _ = run_json(capsys, "invert", "4", "6")
         assert code == 0
         assert doc["method"] == "solve"
-        inverse = ExactMatrix.from_json_dict(doc["inverse"])
+        inverse = ExactMatrix(doc["inverse"]["entries"])
         assert inverse * gcd_matrix([4, 6]) == ExactMatrix.identity(2)
 
 

@@ -1,0 +1,120 @@
+"""Fuzzed CLI calls: whatever the argv or the --input document, the command
+ends with an exit code in {0, 1, 2, 3} and never with a traceback.
+
+Sizes stay small (at most 8 elements, --bound <= 50, --n <= 8) so the suite
+runs in seconds; the exhaustive minors and the closed forms are exercised at
+those sizes, not timed.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gcdmat import cli
+
+SET_VERBS = ("analyze", "gcd-matrix", "lcm-matrix", "pow", "order", "invert", "divide",
+             "power-divide")
+
+elements = st.one_of(st.integers(1, 1000), st.integers(1, 2**64))
+element_lists = st.one_of(
+    st.lists(elements, min_size=1, max_size=8, unique=True),
+    st.lists(st.one_of(elements, st.integers(-2, 0)), max_size=8),
+)
+small = st.integers(-2, 8)
+json_entries = st.one_of(elements, elements.map(str), st.booleans(), st.floats(), st.text(max_size=3))
+
+text_documents = element_lists.map(lambda xs: " ".join(map(str, xs)).encode())
+json_documents = st.one_of(
+    st.fixed_dictionaries({"elements": st.lists(json_entries, max_size=8)}),
+    st.fixed_dictionaries({
+        "primes": st.lists(st.one_of(st.integers(-2, 50), json_entries), max_size=4),
+        "exponents": st.lists(st.lists(st.one_of(small, json_entries), max_size=4), max_size=8),
+    }),
+    st.dictionaries(st.text(max_size=8), json_entries, max_size=3),
+).map(lambda doc: json.dumps(doc).encode())
+documents = st.one_of(text_documents, json_documents, st.binary(max_size=64))
+
+
+def int_list(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def set_commands(draw):
+    argv = [draw(st.sampled_from(SET_VERBS))]
+    document = None
+    if draw(st.booleans()):
+        argv += [str(x) for x in draw(element_lists)]
+    else:
+        argv += ["--input", "-"]
+        document = draw(documents)
+    if argv[0] == "divide" and draw(st.booleans()):
+        argv.append("--verify")
+    if argv[0] == "power-divide":
+        argv += ["--power", str(draw(st.integers(-1, 3)))]
+    return argv, document
+
+
+@st.composite
+def generate_commands(draw):
+    argv = ["generate", "--pattern", draw(st.sampled_from(("pascal", "vandermonde", "random"))),
+            "--n", str(draw(small)),
+            "--bases", int_list(draw(st.lists(st.integers(-1, 5), max_size=4)))]
+    optional = {
+        "--primes": st.lists(st.integers(-2, 40), max_size=4).map(int_list),
+        "--seed": st.integers(-(2**70), 2**70).map(str),
+        "--max-exp": st.integers(-1, 6).map(str),
+        "--max-primes": st.integers(-1, 6).map(str),
+    }
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv, None
+
+
+@st.composite
+def search_commands(draw):
+    argv = ["search"]
+    for flag, values in (("--size", small), ("--bound", st.integers(-5, 50)),
+                         ("--budget", st.integers(-2, 200))):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv, None
+
+
+VOCABULARY = (*SET_VERBS, "generate", "search", "--format", "json", "text", "--input",
+              "--verify", "--power", "--pattern", "pascal", "--n", "--size", "--bound", "x", "")
+
+free_commands = st.lists(
+    st.one_of(st.sampled_from(VOCABULARY), small.map(str)), max_size=6
+).map(lambda argv: (argv, None))
+
+commands = st.tuples(
+    st.one_of(set_commands(), generate_commands(), search_commands(), free_commands),
+    st.sampled_from(([], ["--format", "json"])),
+)
+
+
+def run(argv, document):
+    stdin = io.TextIOWrapper(io.BytesIO(document or b""), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(commands)
+def test_exit_code_contract(command):
+    (argv, document), fmt = command
+    code, err = run(argv + fmt, document)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err

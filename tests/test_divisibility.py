@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from gcdmat.cli import _divisibility, _json
 from gcdmat.divisibility import (
     DivisibilityReport,
     _gcd_closed_candidates,
@@ -52,14 +53,15 @@ class TestDivideOracle:
             assert gcd_matrix(elems) * report.left_witness() == lcm_matrix(elems)
 
     def test_json_schema(self):
-        doc = divide_oracle([1, 2, 3, 12]).to_json_dict()
+        doc = _json(_divisibility(divide_oracle([1, 2, 3, 12])))
         assert doc == {
             "divides": False,
             "side": "Both",
             "witness": None,
             "violation": [2, 1, "3/4"],
+            "method": "oracle",
         }
-        doc = divide_oracle([2, 6, 12]).to_json_dict()
+        doc = _json(_divisibility(divide_oracle([2, 6, 12])))
         assert doc["divides"] is True
         assert doc["witness"] == [["0", "0", "1"], ["3", "-1", "1"], ["6", "0", "0"]]
         assert doc["violation"] is None

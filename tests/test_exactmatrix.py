@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gcdmat import exactmatrix
+from gcdmat.cli import _json, render_text
 from gcdmat.errors import (
     DimensionMismatchError,
     NotSquareError,
@@ -53,13 +54,13 @@ class TestExactMatrix:
 
     def test_json_round_trip(self):
         m = ExactMatrix([[2, Fraction(-1, 4)], [0, 7]])
-        doc = m.to_json_dict()
+        doc = _json(m)
         assert doc == {"rows": 2, "cols": 2, "entries": [["2", "-1/4"], ["0", "7"]]}
-        assert ExactMatrix.from_json_dict(doc) == m
+        assert ExactMatrix(doc["entries"]) == m
 
     def test_text_format(self):
         m = ExactMatrix([[Fraction(3, 4), -1], [0, Fraction(5)]])
-        assert m.to_text() == "3/4 -1\n0 5"
+        assert render_text(_json(m)) == "rows: 2\ncols: 2\nentries:\n  3/4 -1\n  0 5"
 
 
 class TestGcdLcmMatrices:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcdmat import setmodel
+from gcdmat.cli import _json
 from gcdmat.errors import (
     DuplicateRowsError,
     InvalidSetError,
@@ -49,8 +50,7 @@ class TestOrderedSet:
             s.permute([1, 1, 2, 3, 4])
 
     def test_text_round_trip(self):
-        s = OrderedSet([4000, 6000, 600])
-        assert OrderedSet.from_text(s.to_text()) == s
+        assert OrderedSet.from_text("4000\n6000\n600\n") == OrderedSet([4000, 6000, 600])
         assert OrderedSet.from_text("2 6 12") == OrderedSet([2, 6, 12])
 
     def test_from_text_diagnostics(self):
@@ -61,8 +61,8 @@ class TestOrderedSet:
 
     def test_json_round_trip(self):
         s = OrderedSet([4000, 6000])
-        assert s.to_json_dict() == {"elements": ["4000", "6000"]}
-        assert OrderedSet.from_json_dict(s.to_json_dict()) == s
+        assert _json(s) == ["4000", "6000"]
+        assert OrderedSet.from_json_dict({"elements": _json(s)}) == s
         assert OrderedSet.from_json_dict({"elements": [2, 6]}) == OrderedSet([2, 6])
 
 
@@ -79,7 +79,7 @@ class TestExponentMatrix:
 
     def test_json_round_trip(self):
         m = ExponentMatrix([2, 3, 5], POW_MONOTONE)
-        doc = m.to_json_dict()
+        doc = _json(m)
         assert doc["primes"] == ["2", "3", "5"]
         assert doc["exponents"] == POW_MONOTONE
         assert ExponentMatrix.from_json_dict(doc) == m

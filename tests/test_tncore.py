@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from gcdmat import tncore
+from gcdmat.cli import _json
 from gcdmat.divisibility import divide_via_closed_form
 from gcdmat.errors import (
     IndexOrderError,
@@ -80,7 +81,7 @@ class TestCheckTnTriple:
             assert verdict.method == "ExhaustiveMinors"
 
     def test_json_dict(self):
-        assert check_tn_triple([2, 3, 4]).to_json_dict() == {
+        assert _json(check_tn_triple([2, 3, 4])) == {
             "is_tn": False,
             "method": "TripleIdentity",
             "witness": [1, 2, 3],
