@@ -342,13 +342,13 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = _HANDLERS[args.verb](args)
-        report = _json(report)
     except CrossCheckFailure as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report = _json(report)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
