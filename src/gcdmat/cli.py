@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import is_dataclass
 from fractions import Fraction
@@ -349,10 +350,14 @@ def _main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = _json(report)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_text(report))
+    text = json.dumps(report, indent=2) if args.format == "json" else render_text(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Point stdout at devnull so
+        # the interpreter's own flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InvalidArgumentError, InvalidSetError
-from .numtheory import small_primes
+from .numtheory import first_primes
 from .setmodel import ExponentMatrix, OrderedSet, reconstruct
 
 _MASK64 = (1 << 64) - 1
@@ -57,10 +57,6 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-def first_primes(k: int) -> tuple[int, ...]:
-    return small_primes()[:k]
 
 
 def pascal_exponents(n: int) -> list[list[int]]:
@@ -111,11 +107,21 @@ def random_monotone_exponents(
     (below(2), 0 meaning up); per column n exponents below(max_exp + 1),
     sorted ascending and reversed for down columns. Draws with duplicate rows
     or an all-zero column are rejected and redrawn.
+
+    Going down, each monotone column changes value at most max_exp times,
+    and distinct rows differ from their neighbours somewhere, so no draw has
+    more than max_primes * max_exp + 1 distinct rows; a larger n is refused
+    before any draw.
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     if max_exp < 1 or max_primes < 1:
         raise InvalidArgumentError("max_exp and max_primes must be >= 1")
+    if n > max_primes * max_exp + 1:
+        raise InvalidArgumentError(
+            f"no column-monotone matrix with max_exp={max_exp}, max_primes={max_primes} "
+            f"has {n} distinct rows (at most {max_primes * max_exp + 1})"
+        )
     for _ in range(_MAX_DRAW_ATTEMPTS):
         k = rng.randint(1, max_primes)
         columns = []

@@ -4,32 +4,78 @@ Naturals are plain Python ints (unbounded); rationals are ``fractions.Fraction``
 which is always kept in lowest terms with a positive denominator. A
 factorization is an ordered list of ``(prime, exponent)`` pairs with strictly
 increasing primes.
+
+Primes come from one sieve of Eratosthenes that the module shares. The primes
+below 2**12 are sieved at import. The sieve then grows only on demand, by
+doubling: the next segment [L, 2L) is sieved with the primes already known
+and appended, so no range is sieved twice. ``factorize`` grows it while a
+cofactor may still have a prime factor below 2**20, and ``first_primes(k)``
+until it holds k primes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .errors import InvalidArgumentError, ZeroInputError
 
-_SMALL_PRIME_LIMIT = 1_000_000
+_SMALL_PRIME_LIMIT = 1 << 12
+# Trial division stops here; Miller-Rabin and Pollard rho take the cofactor.
+_TRIAL_LIMIT = 1 << 20
+_TRIAL_LIMIT_SQUARED = _TRIAL_LIMIT * _TRIAL_LIMIT
+# Above _LONG, trial division tests blocks of _BLOCK primes against one
+# remainder by their product (about 1300 bits), not x itself.
+_LONG = 1 << 2048
+_BLOCK = 64
 
 # Witnesses that make Miller-Rabin deterministic below 3.3e24 (covers 2**64).
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS_ABOVE_64_BITS = 40
 
 
-@functools.lru_cache(maxsize=1)
+def _segment(lo: int, hi: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The primes in [lo, hi), given every prime below lo and lo * lo >= hi."""
+    sieve = bytearray([1]) * (hi - lo)
+    for p in primes:
+        if p * p >= hi:
+            break
+        first = max(p * p, -(-lo // p) * p) - lo
+        sieve[first::p] = bytes(len(range(first, hi - lo, p)))
+    return tuple(itertools.compress(range(lo, hi), sieve))
+
+
+# (L, every prime below L). Growing replaces the pair whole, so a reader
+# always sees a limit and primes that belong together; two threads growing
+# at once can at worst sieve a segment twice.
+_sieve: tuple[int, tuple[int, ...]] = (4, (2, 3))
+
+
+def _grow() -> tuple[int, tuple[int, ...]]:
+    """Sieve the segment [L, 2L) onto the shared primes; returns the new pair."""
+    global _sieve
+    limit, primes = _sieve
+    _sieve = (2 * limit, primes + _segment(limit, 2 * limit, primes))
+    return _sieve
+
+
+while _sieve[0] < _SMALL_PRIME_LIMIT:
+    _grow()
+_SMALL_PRIMES = _sieve[1]
+
+
 def small_primes() -> tuple[int, ...]:
-    """All primes below 10**6, via a sieve of Eratosthenes (built once)."""
-    limit = _SMALL_PRIME_LIMIT
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return tuple(i for i in range(limit) if sieve[i])
+    """All primes below 2**12, sieved once at import."""
+    return _SMALL_PRIMES
+
+
+def first_primes(k: int) -> tuple[int, ...]:
+    """The first k primes, growing the shared sieve until it holds them."""
+    primes = _sieve[1]
+    while len(primes) < k:
+        primes = _grow()[1]
+    return primes[:k]
 
 
 def gcd(a: int, b: int) -> int:
@@ -106,36 +152,99 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"pollard rho failed on {n}")  # pragma: no cover
 
 
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """(e, x // p**e) for the largest e such that p**e divides x.
+
+    Repeated squaring: strip the powers of p*p first, then at most one more
+    p. A prime power p**e so costs O(log e) divisions, not e.
+    """
+    if x % p:
+        return 0, x
+    e, x = _strip(x, p * p)
+    q, r = divmod(x, p)
+    return (2 * e + 1, q) if r == 0 else (2 * e, x)
+
+
+def _trial_divide(x: int, factors: dict[int, int]) -> int:
+    """Move the prime factors of x below min(sqrt(x), 2**20) into factors and
+    return the cofactor. The sieve grows a segment at a time, and only while
+    the cofactor may have a prime factor beyond the primes sieved so far."""
+    limit, primes = _sieve
+    done = 0
+    # isqrt(x) >= 2**20 exactly when x >= 2**40, so bound is min(isqrt(x), 2**20)
+    bound = math.isqrt(x) if x < _TRIAL_LIMIT_SQUARED else _TRIAL_LIMIT
+    while True:
+        if done == len(primes):
+            if limit >= _TRIAL_LIMIT or limit * limit > x:
+                return x
+            limit, primes = _grow()
+        if x >= _LONG:
+            # One long remainder by a block's product, then short ones per
+            # prime. Stripping a prime changes no other prime's divisibility,
+            # so the remainder serves the whole block.
+            block = primes[done : done + _BLOCK]
+            r = x % math.prod(block)
+        else:
+            block, r = primes[done:], x
+        done += len(block)
+        for p in block:
+            if p > bound:
+                return x
+            if r % p == 0:
+                x //= p
+                if x % p:  # exponent 1, the common case, without a call
+                    factors[p] = 1
+                else:
+                    e, x = _strip(x, p)
+                    factors[p] = e + 1
+                bound = math.isqrt(x) if x < _TRIAL_LIMIT_SQUARED else _TRIAL_LIMIT
+
+
+def _split(x: int, factors: dict[int, int]) -> None:
+    """Move the prime factors of x, all of them above 2**20, into factors.
+
+    Miller-Rabin tells a prime and Pollard rho splits a composite. Each prime
+    found leaves x with its whole exponent, so the rest of its power never
+    goes back to rho.
+    """
+    stack = [x]
+    while x > 1:
+        # Each prime left in x divides some stack entry; the gcd drops the
+        # primes already stripped.
+        m = math.gcd(stack.pop(), x)
+        if m == 1:
+            continue
+        if m < _TRIAL_LIMIT_SQUARED or is_prime(m):
+            factors[m], x = _strip(x, m)
+        else:
+            d = _pollard_rho(m)
+            stack += sorted((d, m // d), reverse=True)  # smaller part first
+
+
 @functools.lru_cache(maxsize=1024)
 def factorize(x: int) -> tuple[tuple[int, int], ...]:
     """Canonical prime factorization of x >= 1; factorize(1) is empty.
 
-    Trial division by the sieved primes below 10**6, then Pollard rho with
-    Miller-Rabin on whatever remains, so smooth inputs are fast and adversarial
-    ones still terminate. The most recent 1024 results are cached, so memory
-    stays bounded however many elements a process factorizes.
+    Trial division by the sieved primes, grown on demand up to 2**20, then
+    Miller-Rabin and Pollard rho on whatever remains, so smooth inputs are
+    fast and adversarial ones still terminate. Each prime found, by either
+    route, leaves with its whole exponent at once (repeated squaring), so a
+    prime power p**e costs O(log e) big divisions. The most recent 1024
+    results are cached, so memory stays bounded however many elements a
+    process factorizes.
     """
     if x == 0:
         raise ZeroInputError("cannot factorize 0")
     if x < 0:
         raise InvalidArgumentError(f"cannot factorize negative {x}")
     factors: dict[int, int] = {}
-    for p in small_primes():
-        if p * p > x:
-            break
-        while x % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            x //= p
-    if x > 1:
-        stack = [x]
-        while stack:
-            m = stack.pop()
-            if m < _SMALL_PRIME_LIMIT**2 or is_prime(m):
-                factors[m] = factors.get(m, 0) + 1
-                continue
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+    x = _trial_divide(x, factors)
+    # The cofactor has no prime factor below min(sqrt(x), 2**20): below
+    # 2**40 it is 1 or a prime.
+    if x >= _TRIAL_LIMIT_SQUARED:
+        _split(x, factors)
+    elif x > 1:
+        factors[x] = 1
     return tuple(sorted(factors.items()))
 
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 determinants by cofactor expansion, monotone orders by full permutation
-enumeration, totients by counting, and the classical determinant product
-formulas evaluated directly from their definitions.
+enumeration, factorizations by plain trial division, totients by counting,
+and the classical determinant product formulas evaluated directly from
+their definitions.
 """
 
 from fractions import Fraction
@@ -36,7 +37,7 @@ def brute_monotone_images(elements) -> list[tuple[int, ...]]:
     images = []
     for image in permutations(range(1, n + 1)):
         reordered = [elems[i - 1] for i in image]
-        primes = sorted({p for x in reordered for p, _ in _factor(x)})
+        primes = sorted({p for x in reordered for p, _ in trial_division_factors(x)})
         cols = list(zip(*[[_exponent(x, p) for p in primes] for x in reordered]))
         if all(
             all(a <= b for a, b in zip(col, col[1:]))
@@ -47,7 +48,8 @@ def brute_monotone_images(elements) -> list[tuple[int, ...]]:
     return images
 
 
-def _factor(x: int) -> list[tuple[int, int]]:
+def trial_division_factors(x: int) -> list[tuple[int, int]]:
+    """Prime factorization by dividing by 2, 3, 5, 7, 9, ... up to sqrt(x)."""
     factors = []
     d = 2
     while d * d <= x:
@@ -57,7 +59,7 @@ def _factor(x: int) -> list[tuple[int, int]]:
             x //= d
         if e:
             factors.append((d, e))
-        d += 1
+        d += 1 if d == 2 else 2
     if x > 1:
         factors.append((x, 1))
     return factors

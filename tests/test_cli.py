@@ -1,9 +1,12 @@
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gcdmat
 from gcdmat import cli
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix
 
@@ -285,9 +288,12 @@ class TestInputHandling:
             (("divide",), {"primes": 5, "exponents": [[1]]}),
             (("search", "--budget", "0"), None),
             (("search", "--budget", "-1"), None),
+            (("generate", "--pattern", "random", "--n", "8", "--max-exp", "1",
+              "--max-primes", "4"), None),
         ],
         ids=["power-0", "size-0", "random-n-negative", "vandermonde-base-0",
-             "exponents-not-list", "primes-not-list", "budget-0", "budget-negative"],
+             "exponents-not-list", "primes-not-list", "budget-0", "budget-negative",
+             "random-n-infeasible"],
     )
     def test_invalid_arguments_exit_two(self, capsys, tmp_path, argv, document):
         if document is not None:
@@ -298,6 +304,22 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_cleanly():
+    """A reader that closes the pipe early (`| head -c 10`) gets a contract
+    exit code and no traceback."""
+    src = str(Path(gcdmat.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "gcdmat.cli", "gcd-matrix", *map(str, range(1, 301)),
+            "--format", "json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={"PYTHONPATH": src})
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 @pytest.mark.skipif(

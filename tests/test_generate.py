@@ -1,5 +1,6 @@
 import pytest
 
+from gcdmat.errors import InvalidArgumentError
 from gcdmat.exactmatrix import gcd_matrix, is_positive_definite
 from gcdmat.generate import (
     SplitMix64,
@@ -107,6 +108,19 @@ class TestRandomMonotone:
         m = random_monotone_exponents(rng, 4, max_exp=2, max_primes=2)
         assert m.k <= 2
         assert all(e <= 2 for row in m.exponents for e in row)
+
+    def test_infeasible_request_is_refused_before_drawing(self):
+        # a monotone column changes at most max_exp times going down, so
+        # max_primes * max_exp + 1 distinct rows is the most any draw has
+        rng = SplitMix64(5)
+        for n, max_exp, max_primes in ((8, 1, 4), (40, 3, 12), (200, 6, 4)):
+            with pytest.raises(InvalidArgumentError, match="at most"):
+                random_monotone_exponents(rng, n, max_exp, max_primes)
+        assert rng.next_u64() == SplitMix64(5).next_u64()
+
+    def test_largest_feasible_request_is_drawn(self):
+        m = random_monotone_exponents(SplitMix64(5), 2, max_exp=1, max_primes=1)
+        assert sorted(m.exponents) == [(0,), (1,)]
 
     def test_parameter_validation(self):
         rng = SplitMix64(5)

@@ -1,10 +1,19 @@
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import gcdmat
 from gcdmat import numtheory
 from gcdmat.errors import ZeroInputError
+from gcdmat.generate import SplitMix64
 
-from oracles import totient_brute
+from oracles import totient_brute, trial_division_factors
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_gcd_examples():
@@ -57,6 +66,84 @@ def test_factorize_prime_power_beyond_sieve():
 
 def test_factorize_cache_is_bounded():
     assert numtheory.factorize.cache_info().maxsize is not None
+
+
+def _seeded_primes(seed: int, lo: int, hi: int, count: int) -> list[int]:
+    """count distinct primes in [lo, hi), drawn by SplitMix64 and confirmed by
+    trial division."""
+    rng, found = SplitMix64(seed), set()
+    while len(found) < count:
+        c = rng.randint(lo, hi - 1)
+        if trial_division_factors(c) == [(c, 1)]:
+            found.add(c)
+    return sorted(found)
+
+
+_BELOW_12 = _seeded_primes(1, 2**12 - 1500, 2**12, 6)
+_ABOVE_12 = _seeded_primes(2, 2**12, 2**12 + 1500, 6)
+_BELOW_20 = _seeded_primes(3, 2**20 - 4000, 2**20, 3)
+_ABOVE_20 = _seeded_primes(4, 2**20, 2**20 + 4000, 3)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [*zip(_BELOW_12, _ABOVE_12), *zip(_BELOW_20, _ABOVE_20),
+     (_ABOVE_20[0], _ABOVE_20[1]), (_BELOW_12[0], _ABOVE_20[2]), (_ABOVE_12[0], _BELOW_20[0])],
+)
+def test_semiprimes_either_side_of_the_sieve_bounds(p, q):
+    """Factors on both sides of 2**12 (the import-time sieve) and of 2**20
+    (the end of trial division) agree with plain trial division."""
+    for x in (p * q, p**3 * q, p * q**2 * 6):
+        assert numtheory.factorize(x) == tuple(trial_division_factors(x))
+
+
+@pytest.mark.parametrize("p", [4093, 4099, 999_983, 1_000_003])
+@pytest.mark.parametrize("e", [1, 2, 3, 37, 2000])
+def test_prime_powers_take_their_valuation_at_once(p, e):
+    start = time.perf_counter()
+    assert numtheory.factorize(p**e) == ((p, e),)
+    assert time.perf_counter() - start < 1.0
+    assert numtheory.factorize(p**e * 6) == ((2, 1), (3, 1), (p, e))
+
+
+def test_large_power_of_two_is_fast():
+    start = time.perf_counter()
+    assert numtheory.factorize(2**300_000) == ((2, 300_000),)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_powers_past_the_trial_bound():
+    """Pollard rho finds these primes; the rest of each power leaves with it."""
+    q, r = 2**20 + 7, 2**31 - 1
+    assert numtheory.factorize(q**60) == ((q, 60),)
+    assert numtheory.factorize(q**5 * r**7 * 10) == ((2, 1), (5, 1), (q, 5), (r, 7))
+
+
+def test_first_primes_grow_past_the_small_sieve():
+    assert len(numtheory.small_primes()) == 564 and numtheory.small_primes()[-1] == 4093
+    primes = numtheory.first_primes(1000)
+    assert isinstance(primes, tuple) and len(primes) == 1000
+    assert list(primes) == [n for n in range(2, 7920) if trial_division_factors(n) == [(n, 1)]]
+
+
+def test_readme_analyze_stays_in_the_small_sieve():
+    """The README tour's analyze elements are 7-smooth: analyzing them never
+    sieves past 2**12."""
+    readme = (ROOT / "README.md").read_text()
+    line = next(l for l in readme.splitlines() if l.startswith("gcdmat analyze "))
+    elements = line.split("#")[0].split()[2:]
+    assert all(max(p for p, _ in trial_division_factors(int(x))) <= 7 for x in elements)
+    code = (
+        "import contextlib, io, sys\n"
+        "from gcdmat import cli, numtheory\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', *sys.argv[1:]]) == 0\n"
+        "print(numtheory._sieve[0])\n"
+    )
+    src = str(Path(gcdmat.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, *elements], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src}).stdout
+    assert int(out) == 2**12
 
 
 def test_totient_examples():
