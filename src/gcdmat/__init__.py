@@ -8,6 +8,7 @@ divisibility questions against an exact linear-solve oracle.
 
 from .divisibility import (
     DivisibilityReport,
+    divide,
     divide_oracle,
     divide_power,
     divide_via_closed_form,
@@ -67,6 +68,7 @@ __all__ = [
     "check_tn_triple",
     "classify_coprime_divisor_chains",
     "determinant",
+    "divide",
     "divide_oracle",
     "divide_power",
     "divide_via_closed_form",

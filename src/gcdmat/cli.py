@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divide", parents=[common, reads_set],
                        help="decide lcm-matrix divisibility by the gcd matrix")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check the closed form against the oracle")
+                   help="prove a dividing witness by its product witness * gcd = lcm")
 
     p = sub.add_parser("power-divide", parents=[common, reads_set],
                        help="divide verdict for the elementwise power set")
@@ -178,31 +178,29 @@ def _divisibility(report: divisibility.DivisibilityReport, **extra) -> dict:
 
 
 def _witness_holds(s: OrderedSet, witness: ExactMatrix) -> bool:
-    """witness * gcd_matrix(s) == lcm_matrix(s), in integers. The gcd matrix
-    is symmetric, so its rows serve as its columns."""
+    """witness * gcd_matrix(s) == lcm_matrix(s), in integers, reading only the
+    nonzero entries of each witness row (at most three in the closed form).
+    The gcd matrix is symmetric, so its rows serve as its columns."""
+    if (witness.rows, witness.cols) != (len(s), len(s)) or not witness.is_integral():
+        return False
     g = [[gcd(a, b) for b in s] for a in s]
-    return witness.is_integral() and all(
-        sum(w.numerator * x for w, x in zip(row, col)) == lcm(a, b)
-        for row, a in zip(witness, s)
-        for col, b in zip(g, s)
-    )
+    for row, a in zip(witness, s):
+        terms = [(w.numerator, g[k]) for k, w in enumerate(row) if w]
+        if any(sum(w * col[j] for w, col in terms) != lcm(a, b) for j, b in enumerate(s)):
+            return False
+    return True
 
 
 def _cmd_divide(args) -> tuple[dict, int]:
-    """--verify checks the closed form against the oracle, and the oracle's
-    witness by its product; a non-divisor has no second path, so it stays
-    unverified."""
+    """--verify proves a dividing witness by its integer product
+    witness * gcd = lcm, whichever path produced it: the gcd matrix is
+    nonsingular, so that witness is the unique quotient. A non-divisor has no
+    witness to check, so it stays unverified."""
     s = _load_set(args)
-    try:
-        report = divisibility.divide_via_closed_form(s)
-    except (NotTnError, SizeTooSmallError):
-        report = divisibility.divide_oracle(s)
+    report = divisibility.divide(s)
     verified = args.verify and report.divides
-    if verified and report.method == divisibility.METHOD_CLOSED_FORM:
-        if divisibility.divide_oracle(s).witness != report.witness:
-            raise CrossCheckFailure(f"closed form and oracle disagree on {list(s.elements)}")
-    elif verified and not _witness_holds(s, report.witness):
-        raise CrossCheckFailure(f"oracle witness * gcd != lcm on {list(s.elements)}")
+    if verified and not _witness_holds(s, report.witness):
+        raise CrossCheckFailure(f"witness * gcd != lcm on {list(s.elements)}")
     return _divisibility(report, verified=verified), EXIT_OK if report.divides else EXIT_NEGATIVE
 
 

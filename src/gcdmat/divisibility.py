@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import numtheory
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NotTnError, SizeTooSmallError
 from .exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix, solve_right
 from .setmodel import OrderedSet, is_gcd_closed, power_set
 from .tncore import TnVerdict, quotient_closed_form, single_pair_identities_hold
@@ -82,9 +82,23 @@ def divide_via_closed_form(
     return DivisibilityReport(True, witness=witness, method=METHOD_CLOSED_FORM)
 
 
+def divide(s: OrderedSet | Iterable[int]) -> DivisibilityReport:
+    """Decide divisibility by the cheapest exact path.
+
+    A TN set with n >= 3 divides by the paper's theorem and gets the
+    closed-form quotient (method "closed-form"); every other set goes to the
+    oracle. This is the one place that chooses between the two.
+    """
+    s = OrderedSet.coerce(s)
+    try:
+        return divide_via_closed_form(s)
+    except (NotTnError, SizeTooSmallError):
+        return divide_oracle(s)
+
+
 def divide_power(s: OrderedSet | Iterable[int], e: int) -> DivisibilityReport:
     """Divisibility report for the elementwise e-th power of the set."""
-    return divide_oracle(power_set(OrderedSet.coerce(s), e))
+    return divide(power_set(OrderedSet.coerce(s), e))
 
 
 def _gcd_closed_candidates(n: int, element_bound: int):

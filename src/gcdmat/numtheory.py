@@ -200,12 +200,39 @@ def _trial_divide(x: int, factors: dict[int, int]) -> int:
                 bound = math.isqrt(x) if x < _TRIAL_LIMIT_SQUARED else _TRIAL_LIMIT
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, in integers: Newton's method from above."""
+    if k == 2:
+        return math.isqrt(m)
+    r = 1 << -(-m.bit_length() // k)  # 2**ceil(bits/k) > m ** (1/k)
+    while True:
+        y = ((k - 1) * r + m // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
+def _perfect_root(m: int) -> int | None:
+    """r with r**k == m for some prime k, or None. Every prime factor of m is
+    above 2**20, so m > 2**(20k) and only k <= m.bit_length() // 20 can hold."""
+    bound = m.bit_length() // 20
+    limit, primes = _sieve
+    while limit <= bound:
+        limit, primes = _grow()
+    for k in itertools.takewhile(lambda p: p <= bound, primes):
+        r = _iroot(m, k)
+        if r**k == m:
+            return r
+    return None
+
+
 def _split(x: int, factors: dict[int, int]) -> None:
     """Move the prime factors of x, all of them above 2**20, into factors.
 
-    Miller-Rabin tells a prime and Pollard rho splits a composite. Each prime
-    found leaves x with its whole exponent, so the rest of its power never
-    goes back to rho.
+    Miller-Rabin tells a prime, an integer k-th root takes a perfect power
+    apart, and Pollard rho splits any other composite; rho alone would need
+    about sqrt(p) steps on a power of a prime p. Each prime found leaves x
+    with its whole exponent, so the rest of its power never goes back to rho.
     """
     stack = [x]
     while x > 1:
@@ -216,6 +243,8 @@ def _split(x: int, factors: dict[int, int]) -> None:
             continue
         if m < _TRIAL_LIMIT_SQUARED or is_prime(m):
             factors[m], x = _strip(x, m)
+        elif (r := _perfect_root(m)) is not None:
+            stack.append(r)
         else:
             d = _pollard_rho(m)
             stack += sorted((d, m // d), reverse=True)  # smaller part first

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import gcdmat
 from gcdmat import cli
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix
+from gcdmat.generate import SplitMix64, random_monotone_set
 
 SIX_ELEMENT = "330812181 551353635 7501410 2976750 5512500000 18750000000"
 
@@ -53,17 +55,39 @@ class TestDivideVerb:
         assert code == 0
         assert doc["verified"] is True
 
-    def test_verify_disagreement_exits_three(self, capsys, monkeypatch):
-        from gcdmat.divisibility import DivisibilityReport
+    def test_verify_corrupted_closed_form_exits_three(self, capsys, monkeypatch):
+        """A closed-form witness one entry off fails its product check."""
+        true_quotient = cli.divisibility.quotient_closed_form
 
-        monkeypatch.setattr(
-            cli.divisibility,
-            "divide_oracle",
-            lambda s: DivisibilityReport(True, witness=ExactMatrix.identity(len(s))),
-        )
+        def off_by_one(s):
+            rows = [list(row) for row in true_quotient(s)]
+            rows[0][0] += 1
+            return ExactMatrix(rows)
+
+        monkeypatch.setattr(cli.divisibility, "quotient_closed_form", off_by_one)
         code, out, err = run(capsys, "divide", "2", "6", "12", "--verify")
         assert code == 3
-        assert "disagree" in err
+        assert "witness * gcd != lcm" in err
+
+    def test_verify_needs_no_oracle_on_a_tn_set(self, capsys, monkeypatch):
+        def no_oracle(s):
+            raise AssertionError("the oracle was consulted")
+
+        monkeypatch.setattr(cli.divisibility, "divide_oracle", no_oracle)
+        code, doc, _ = run_json(capsys, "divide", "2", "6", "12", "--verify")
+        assert code == 0
+        assert doc["verified"] is True
+        assert doc["method"] == "closed-form"
+
+    def test_verify_sixty_element_tn_set_is_fast(self, capsys):
+        """The product check reads the closed form's sparse rows in O(n^2);
+        the exact solve takes about 16 s on this set."""
+        s = random_monotone_set(SplitMix64(60), 60, max_exp=40)
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "divide", *map(str, s), "--verify")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert doc["verified"] is True
 
     def test_verify_checks_an_oracle_witness(self, capsys, monkeypatch):
         from gcdmat.divisibility import DivisibilityReport

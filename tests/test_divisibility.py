@@ -7,6 +7,7 @@ from gcdmat.cli import _divisibility, _json
 from gcdmat.divisibility import (
     DivisibilityReport,
     _gcd_closed_candidates,
+    divide,
     divide_oracle,
     divide_power,
     divide_via_closed_form,
@@ -16,11 +17,17 @@ from gcdmat.errors import InvalidArgumentError, NotTnError, SizeTooSmallError
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import OrderedSet, is_gcd_closed, reconstruct
-from gcdmat.tncore import single_pair_identities_hold
+from gcdmat.tncore import check_tn_triple, single_pair_identities_hold
 
 from oracles import divisor_closure, random_distinct_set, random_tree_set, shuffled
 
 SIX_ELEMENT = [330812181, 551353635, 7501410, 2976750, 5512500000, 18750000000]
+
+
+def assert_same_verdict(report: DivisibilityReport, oracle: DivisibilityReport) -> None:
+    assert (report.divides, report.witness, report.violation) == (
+        oracle.divides, oracle.witness, oracle.violation
+    )
 
 
 class TestDivideOracle:
@@ -86,13 +93,43 @@ class TestDivideViaClosedForm:
             divide_via_closed_form([2, 6])
 
     def test_matches_oracle_on_random_tn_sets(self):
+        """The closed form, and the front door on three families: TN sets
+        (closed form), their shuffles, mostly not TN (oracle), and sets with
+        n <= 2 (oracle)."""
         rng = SplitMix64(40)
+        shuffles_not_tn = 0
         for _ in range(30):
             s = reconstruct(random_monotone_exponents(rng, rng.randint(3, 7)))
             closed = divide_via_closed_form(s)
             oracle = divide_oracle(s)
             assert closed.divides == oracle.divides == True  # noqa: E712
             assert closed.witness == oracle.witness
+            t = shuffled(rng, s)
+            tn = check_tn_triple(t).is_tn
+            shuffles_not_tn += not tn
+            for u, method in (
+                (s, "closed-form"),
+                (t, "closed-form" if tn else "oracle"),
+                (s[: rng.randint(1, 2)], "oracle"),
+            ):
+                report = divide(u)
+                assert report.method == method
+                assert_same_verdict(report, divide_oracle(u))
+        assert shuffles_not_tn > 15
+
+
+class TestDivide:
+    def test_agrees_with_oracle_on_random_sets(self):
+        """Random sets are rarely TN and often fail to divide, so the
+        violations are compared too."""
+        rng = SplitMix64(41)
+        nondivisors = 0
+        for _ in range(60):
+            s = random_distinct_set(rng, rng.randint(1, 6), 60)
+            report = divide(s)
+            assert_same_verdict(report, divide_oracle(s))
+            nondivisors += not report.divides
+        assert nondivisors > 10
 
 
 class TestDividePower:
@@ -102,7 +139,7 @@ class TestDividePower:
 
     def test_cube_of_chain(self):
         report = divide_power([2, 6, 12], 3)
-        assert report.divides
+        assert report.divides and report.method == "closed-form"
         assert report.witness * gcd_matrix([8, 216, 1728]) == lcm_matrix([8, 216, 1728])
 
     def test_six_element_powers(self):

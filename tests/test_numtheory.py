@@ -119,6 +119,31 @@ def test_prime_powers_past_the_trial_bound():
     assert numtheory.factorize(q**5 * r**7 * 10) == ((2, 1), (5, 1), (q, 5), (r, 7))
 
 
+MERSENNE_61, MERSENNE_31 = 2**61 - 1, 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (MERSENNE_61**2, ((MERSENNE_61, 2),)),
+        (MERSENNE_61**3 * MERSENNE_31, ((MERSENNE_31, 1), (MERSENNE_61, 3))),
+        ((_ABOVE_20[0] * _ABOVE_20[1]) ** 2, ((_ABOVE_20[0], 2), (_ABOVE_20[1], 2))),
+    ],
+)
+def test_perfect_powers_past_the_trial_bound(x, expected):
+    """A power of a prime far above 2**20 is taken apart by an integer root;
+    Pollard rho alone would need about sqrt(p) steps."""
+    start = time.perf_counter()
+    assert numtheory.factorize(x) == expected
+    assert time.perf_counter() - start < 1.0
+
+
+@given(st.integers(min_value=1, max_value=2**400), st.sampled_from([2, 3, 5, 7, 31]))
+def test_integer_root_is_the_floor(m, k):
+    r = numtheory._iroot(m, k)
+    assert r**k <= m < (r + 1) ** k
+
+
 def test_first_primes_grow_past_the_small_sieve():
     assert len(numtheory.small_primes()) == 564 and numtheory.small_primes()[-1] == 4093
     primes = numtheory.first_primes(1000)
