@@ -1,6 +1,6 @@
 """Exact arithmetic for gcd/lcm matrices of ordered integer sets.
 
-Builds gcd and lcm matrices, decides total nonnegativity three independent
+Builds gcd and lcm matrices, decides total nonnegativity four independent
 ways, evaluates the closed-form tridiagonal inverse and the closed-form
 integer quotient of the lcm matrix by the gcd matrix, and settles matrix
 divisibility questions against an exact linear-solve oracle.
@@ -11,7 +11,6 @@ from .divisibility import (
     divide,
     divide_oracle,
     divide_power,
-    divide_via_closed_form,
     search_gcd_closed_nondivisor,
 )
 from .exactmatrix import (
@@ -71,7 +70,6 @@ __all__ = [
     "divide",
     "divide_oracle",
     "divide_power",
-    "divide_via_closed_form",
     "factorize",
     "find_monotone_order",
     "gcd",

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from . import divisibility, exactmatrix, generate, setmodel, tncore
-from .errors import Error, NotTnError, SizeTooSmallError, TooLargeForExhaustiveMinorsError
+from .errors import Error, NotTnError, TooLargeForExhaustiveMinorsError
 from .exactmatrix import ExactMatrix
 from .setmodel import ExponentMatrix, OrderedSet
 
@@ -157,7 +157,7 @@ def _cmd_invert(args) -> tuple[dict, int]:
     s = _load_set(args)
     try:
         tri = tncore.tridiagonal_inverse(s)
-    except (NotTnError, SizeTooSmallError):
+    except NotTnError:
         inverse = exactmatrix.solve_right(exactmatrix.gcd_matrix(s), ExactMatrix.identity(len(s)))
         report = {"method": "solve", "sub_super": None, "diagonal": None, "inverse": inverse}
     else:

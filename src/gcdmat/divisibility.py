@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import numtheory
-from .errors import InvalidArgumentError, NotTnError, SizeTooSmallError
+from .errors import InvalidArgumentError, NotTnError
 from .exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix, solve_right
 from .setmodel import OrderedSet, is_gcd_closed, power_set
-from .tncore import TnVerdict, quotient_closed_form, single_pair_identities_hold
+from .tncore import quotient_closed_form, single_pair_identities_hold
 
 METHOD_ORACLE = "oracle"
 METHOD_CLOSED_FORM = "closed-form"
@@ -67,33 +67,19 @@ def divide_oracle(s: OrderedSet | Iterable[int]) -> DivisibilityReport:
     return _report_from_quotient(quotient, METHOD_ORACLE)
 
 
-def divide_via_closed_form(
-    s: OrderedSet | Iterable[int], verdict: TnVerdict | None = None
-) -> DivisibilityReport:
-    """Divisibility report from the closed-form quotient, no linear solve.
-
-    Only valid for TN sets with n >= 3, where divisibility always holds;
-    other sets raise NotTnError or SizeTooSmallError. The method field
-    distinguishes this path from the oracle for benchmarking. ``verdict`` is
-    ignored: the set alone decides TN.
-    """
-    s = OrderedSet.coerce(s)
-    witness = quotient_closed_form(s)
-    return DivisibilityReport(True, witness=witness, method=METHOD_CLOSED_FORM)
-
-
 def divide(s: OrderedSet | Iterable[int]) -> DivisibilityReport:
     """Decide divisibility by the cheapest exact path.
 
-    A TN set with n >= 3 divides by the paper's theorem and gets the
-    closed-form quotient (method "closed-form"); every other set goes to the
+    A TN set divides by the paper's theorem and gets the closed-form quotient
+    with no linear solve (method "closed-form"); every other set goes to the
     oracle. This is the one place that chooses between the two.
     """
     s = OrderedSet.coerce(s)
     try:
-        return divide_via_closed_form(s)
-    except (NotTnError, SizeTooSmallError):
+        witness = quotient_closed_form(s)
+    except NotTnError:
         return divide_oracle(s)
+    return DivisibilityReport(True, witness=witness, method=METHOD_CLOSED_FORM)
 
 
 def divide_power(s: OrderedSet | Iterable[int], e: int) -> DivisibilityReport:
@@ -128,10 +114,10 @@ def search_gcd_closed_nondivisor(
     divisibility, or None when the enumeration or the budget is exhausted.
 
     The budget counts candidate sets decided, so runs are reproducible: the
-    result only depends on (n, element_bound, budget). Candidates with n >= 3
-    whose gcd matrix is TN divide by the paper's theorem and skip the oracle;
-    the TN check costs O(n) gcds, a few percent of an oracle call. For n = 3
-    every candidate is TN, so a search there never calls the oracle.
+    result only depends on (n, element_bound, budget). Candidates whose gcd
+    matrix is TN divide by the paper's theorem and skip the oracle; the TN
+    check costs O(n) gcds, a few percent of an oracle call. For n <= 3 every
+    candidate is TN, so a search there never calls the oracle.
     """
     if n < 1:
         raise InvalidArgumentError(f"set size must be >= 1, got {n}")
@@ -143,7 +129,7 @@ def search_gcd_closed_nondivisor(
             return None
         tested += 1
         s = OrderedSet(candidate)
-        if n >= 3 and single_pair_identities_hold(s):
+        if single_pair_identities_hold(s):
             continue
         if not divide_oracle(s).divides:
             return s

@@ -6,15 +6,15 @@ class Error(Exception):
 
 
 class InvalidArgumentError(Error, ValueError):
-    """An argument is outside its allowed range (a size, exponent, base or index)."""
-
-
-class ZeroInputError(Error):
-    """Zero was passed where a positive integer is required."""
+    """An argument is outside its allowed range: a size, exponent, base or
+    index out of range, zero where a positive integer is required, indices
+    out of order, or a value that is not a member of the set."""
 
 
 class InvalidSetError(Error):
-    """Violation of the ordered-set invariants (positive, distinct, nonempty)."""
+    """Violation of the ordered-set invariants (positive, distinct, nonempty)
+    or of the exponent-matrix invariants (increasing primes, each prime,
+    distinct rows)."""
 
 
 class NotSquareError(Error):
@@ -37,32 +37,8 @@ class TooLargeForExhaustiveMinorsError(Error):
     """Matrix order exceeds the cap for exhaustive minor enumeration."""
 
 
-class NotAMemberError(Error):
-    """The given value is not an element of the set."""
-
-
-class DuplicateRowsError(Error):
-    """Exponent rows must be pairwise distinct."""
-
-
-class NotPrimeError(Error):
-    """A listed prime failed the primality test."""
-
-
-class PrimesNotIncreasingError(Error):
-    """The prime list must be strictly increasing."""
-
-
 class NotTnError(Error):
     """The gcd matrix is not totally nonnegative, so the closed form does not apply."""
-
-
-class IndexOrderError(Error):
-    """Indices must satisfy i <= j."""
-
-
-class SizeTooSmallError(Error):
-    """The closed form is only defined for sets of at least three elements."""
 
 
 class InternalConsistencyError(Error):

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 
-from .errors import InvalidArgumentError, ZeroInputError
+from .errors import InvalidArgumentError
 
 _SMALL_PRIME_LIMIT = 1 << 12
 # Trial division stops here; Miller-Rabin and Pollard rho take the cofactor.
@@ -88,7 +88,7 @@ def gcd(a: int, b: int) -> int:
 def lcm(a: int, b: int) -> int:
     """Least common multiple a*b // gcd(a, b) of two positive integers."""
     if a == 0 or b == 0:
-        raise ZeroInputError(f"lcm requires positive inputs, got ({a}, {b})")
+        raise InvalidArgumentError(f"lcm requires positive inputs, got ({a}, {b})")
     return (a // math.gcd(a, b)) * b
 
 
@@ -263,7 +263,7 @@ def factorize(x: int) -> tuple[tuple[int, int], ...]:
     process factorizes.
     """
     if x == 0:
-        raise ZeroInputError("cannot factorize 0")
+        raise InvalidArgumentError("cannot factorize 0")
     if x < 0:
         raise InvalidArgumentError(f"cannot factorize negative {x}")
     factors: dict[int, int] = {}
@@ -280,7 +280,7 @@ def factorize(x: int) -> tuple[tuple[int, int], ...]:
 def totient(x: int) -> int:
     """Euler's totient via the product formula over the prime factorization."""
     if x == 0:
-        raise ZeroInputError("totient(0) is undefined")
+        raise InvalidArgumentError("totient(0) is undefined")
     result = x
     for p, _ in factorize(x):
         result -= result // p
@@ -290,7 +290,7 @@ def totient(x: int) -> int:
 def divisors(x: int) -> list[int]:
     """All positive divisors of x >= 1, ascending."""
     if x == 0:
-        raise ZeroInputError("divisors(0) is undefined")
+        raise InvalidArgumentError("divisors(0) is undefined")
     divs = [1]
     for p, e in factorize(x):
         divs = [d * p**k for d in divs for k in range(e + 1)]

@@ -20,14 +20,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from . import numtheory
-from .errors import (
-    DuplicateRowsError,
-    InvalidArgumentError,
-    InvalidSetError,
-    NotAMemberError,
-    NotPrimeError,
-    PrimesNotIncreasingError,
-)
+from .errors import InvalidArgumentError, InvalidSetError
 
 
 def _json_int(item: object, field: str) -> int:
@@ -136,10 +129,10 @@ class ExponentMatrix:
         rows = tuple(tuple(row) for row in exponents)
         for a, b in zip(primes, primes[1:]):
             if a >= b:
-                raise PrimesNotIncreasingError(f"primes not strictly increasing: {a} >= {b}")
+                raise InvalidSetError(f"primes not strictly increasing: {a} >= {b}")
         for p in primes:
             if not numtheory.is_prime(p):
-                raise NotPrimeError(f"{p} is not prime")
+                raise InvalidSetError(f"{p} is not prime")
         if not rows:
             raise InvalidSetError("exponent matrix needs at least one row")
         k = len(primes)
@@ -150,7 +143,7 @@ class ExponentMatrix:
                 if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                     raise InvalidSetError(f"bad exponent {e!r}")
         if len(set(rows)) != len(rows):
-            raise DuplicateRowsError(f"duplicate exponent rows in {rows}")
+            raise InvalidSetError(f"duplicate exponent rows in {rows}")
         for j in range(k):
             if all(row[j] == 0 for row in rows):
                 raise InvalidSetError(f"prime {primes[j]} divides no element (zero column)")
@@ -282,10 +275,17 @@ def is_gcd_closed(s: OrderedSet | Iterable[int]) -> bool:
 
 
 def is_factor_closed(s: OrderedSet | Iterable[int]) -> bool:
-    """True when every divisor of every member is a member."""
+    """True when every divisor of every member is a member.
+
+    A member with more divisors than the set has members settles the answer
+    before any divisor is listed: a squarefree member with k prime factors
+    has 2^k divisors.
+    """
     s = OrderedSet.coerce(s)
     members = set(s)
-    return all(d in members for x in s for d in numtheory.divisors(x))
+    return all(
+        prod(e + 1 for _, e in numtheory.factorize(x)) <= len(s) for x in s
+    ) and all(d in members for x in s for d in numtheory.divisors(x))
 
 
 def greatest_type_divisors(s: OrderedSet | Iterable[int], y: int) -> list[int]:
@@ -296,7 +296,7 @@ def greatest_type_divisors(s: OrderedSet | Iterable[int], y: int) -> list[int]:
     """
     s = OrderedSet.coerce(s)
     if y not in s:
-        raise NotAMemberError(f"{y} is not a member of {s!r}")
+        raise InvalidArgumentError(f"{y} is not a member of {s!r}")
     proper = [x for x in s if x < y and y % x == 0]
     return sorted(
         x

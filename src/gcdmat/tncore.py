@@ -1,7 +1,7 @@
 """Total nonnegativity of gcd matrices and the closed forms it unlocks.
 
-For an ordered set S = (x_1, ..., x_n) (n >= 3), total nonnegativity of the
-gcd matrix is equivalent to a triple identity on pairwise gcds and to column
+For an ordered set S = (x_1, ..., x_n), total nonnegativity of the gcd
+matrix is equivalent to a triple identity on pairwise gcds and to column
 monotonicity of the prime-exponent matrix. When it holds, the inverse of the
 gcd matrix is symmetric tridiagonal with a closed form for its coefficients,
 and the quotient of the lcm matrix by the gcd matrix is an explicit integer
@@ -28,8 +28,9 @@ hence the set is TN; conversely monotone columns satisfy both identities.
 the same check on the set it is given and reads the (1,i) and (i,n) vectors
 the check computed, so its result depends on the set alone. The deciders
 ``check_tn_triple`` (the literal O(n^3) triple scan, whose negative verdict
-names the first violating triple), ``check_tn_monotone`` and exhaustive
-minors stay as independent cross-checks.
+names the first violating triple), ``check_tn_monotone`` and the exhaustive
+minors of ``exactmatrix`` stay as independent cross-checks. Every set with
+n <= 2 is TN, and the closed forms hold there too.
 """
 
 from __future__ import annotations
@@ -39,19 +40,12 @@ from fractions import Fraction
 from math import gcd as _gcd
 from typing import Iterable
 
-from .errors import (
-    IndexOrderError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-    NotTnError,
-    SizeTooSmallError,
-)
-from .exactmatrix import ExactMatrix, all_minors_nonnegative, gcd_matrix
+from .errors import InternalConsistencyError, InvalidArgumentError, NotTnError
+from .exactmatrix import ExactMatrix
 from .setmodel import OrderedSet, pow_matrix
 
 METHOD_TRIPLE = "TripleIdentity"
 METHOD_MONOTONE = "ColumnMonotone"
-METHOD_MINORS = "ExhaustiveMinors"
 
 
 @dataclass(frozen=True)
@@ -113,11 +107,6 @@ class TridiagonalInverse:
         return ExactMatrix(rows)
 
 
-def _minors_verdict(s: OrderedSet) -> TnVerdict:
-    report = all_minors_nonnegative(gcd_matrix(s))
-    return TnVerdict(report.all_nonnegative, METHOD_MINORS)
-
-
 def _first_violating_triple(x: tuple[int, ...]) -> tuple[int, int, int] | None:
     """The triple scan: the first (i, j, k), 1-based, failing the identity."""
     n = len(x)
@@ -142,12 +131,8 @@ def check_tn_triple(s: OrderedSet | Iterable[int]) -> TnVerdict:
     For every 1 <= i <= j <= k <= n the identity (i,j)*(j,k) = x_j*(i,k) must
     hold; equivalently (i,k) = gcd(x_i, x_j, x_k) and x_j*(i,k) | x_i*x_k,
     which is validated alongside. The first failing triple is the witness.
-    Sets with fewer than three elements are decided by exhaustive minors
-    (they are always totally nonnegative).
     """
     s = OrderedSet.coerce(s)
-    if len(s) < 3:
-        return _minors_verdict(s)
     witness = _first_violating_triple(s.elements)
     return TnVerdict(witness is None, METHOD_TRIPLE, witness)
 
@@ -184,8 +169,6 @@ def check_tn_monotone(s: OrderedSet | Iterable[int]) -> TnVerdict:
     """
     s = OrderedSet.coerce(s)
     n = len(s)
-    if n < 3:
-        return _minors_verdict(s)
     exponents = pow_matrix(s).exponents
     for col in zip(*exponents):
         steps = [(i, (col[i] < col[i + 1]) - (col[i] > col[i + 1])) for i in range(n - 1)]
@@ -204,17 +187,14 @@ def _require_tn(s: OrderedSet) -> tuple[list[int], list[int]]:
     return vectors
 
 
-def check_quadruple_identity(
-    s: OrderedSet | Iterable[int], verdict: TnVerdict | None = None
-) -> QuadrupleReport:
+def check_quadruple_identity(s: OrderedSet | Iterable[int]) -> QuadrupleReport:
     """Verify (i,k)*(j,l) = (i,l)*(j,k) for all 1 <= i <= j <= k <= l <= n.
 
     Requires a totally nonnegative set. The check is the O(n^2) sweep of the
     two-index identity (i,j)*(1,n) = (1,j)*(i,n) for every i <= j; the
     four-index identity follows from it algebraically, since both sides
     equal (1,k)*(1,l)*(i,n)*(j,n)/(1,n)^2. A violation is reported as the
-    failing quadruple (1, i, j, n). ``verdict`` is ignored: the set alone
-    decides TN.
+    failing quadruple (1, i, j, n).
     """
     s = OrderedSet.coerce(s)
     first, last = _require_tn(s)
@@ -228,20 +208,17 @@ def check_quadruple_identity(
     return QuadrupleReport(True)
 
 
-def lcm_from_gcds(
-    s: OrderedSet | Iterable[int], i: int, j: int, verdict: TnVerdict | None = None
-) -> int:
+def lcm_from_gcds(s: OrderedSet | Iterable[int], i: int, j: int) -> int:
     """lcm(x_i, x_j) computed as (1,i)*(j,n) / (1,n), valid on TN sets.
 
-    Indices are 1-based with i <= j. ``verdict`` is ignored: the set alone
-    decides TN.
+    Indices are 1-based with i <= j.
     """
     s = OrderedSet.coerce(s)
     n = len(s)
     if not 1 <= i <= n or not 1 <= j <= n:
         raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{n}")
     if i > j:
-        raise IndexOrderError(f"need i <= j, got ({i}, {j})")
+        raise InvalidArgumentError(f"need i <= j, got ({i}, {j})")
     first, last = _require_tn(s)
     numerator = first[i - 1] * last[j - 1]
     g1n = first[-1]
@@ -252,10 +229,8 @@ def lcm_from_gcds(
     return numerator // g1n
 
 
-def tridiagonal_inverse(
-    s: OrderedSet | Iterable[int], verdict: TnVerdict | None = None
-) -> TridiagonalInverse:
-    """Closed-form inverse coefficients of a TN gcd matrix (n >= 3).
+def tridiagonal_inverse(s: OrderedSet | Iterable[int]) -> TridiagonalInverse:
+    """Closed-form inverse coefficients of a TN gcd matrix.
 
     With (i,j) = gcd(x_i, x_j):
 
@@ -265,7 +240,8 @@ def tridiagonal_inverse(
         b_n     = -(1,n-1)/(1,n) * a_n
 
     The assembled symmetric tridiagonal matrix times the gcd matrix is the
-    identity, exactly. ``verdict`` is ignored: the set alone decides TN.
+    identity, exactly. For n = 2 the first and last lines give b_1 and b_2;
+    for n = 1 the inverse is the diagonal (1/x_1).
 
     No denominator vanishes on a TN set. With denom_i = (i,n)*(1,i+1) -
     (i+1,n)*(1,i), the single-pair identities give
@@ -276,8 +252,8 @@ def tridiagonal_inverse(
     """
     s = OrderedSet.coerce(s)
     n = len(s)
-    if n < 3:
-        raise SizeTooSmallError(f"tridiagonal inverse needs n >= 3, got n = {n}")
+    if n == 1:
+        return TridiagonalInverse((), (Fraction(1, s[0]),))
     first, last = _require_tn(s)  # first[i] = (1,i+1), last[i] = (i+1,n)
     g1n = first[-1]
     a: list[Fraction] = []  # a[i] holds a_{i+2}
@@ -294,7 +270,7 @@ def tridiagonal_inverse(
 def quotient_closed_form(
     s: OrderedSet | Iterable[int], verdict: TnVerdict | None = None
 ) -> ExactMatrix:
-    """The integer quotient U with U * gcd_matrix = lcm_matrix, entrywise (n >= 3).
+    """The integer quotient U with U * gcd_matrix = lcm_matrix, entrywise.
 
     For a TN set the quotient of the lcm matrix by the gcd matrix has at most
     three nonzero entries per row:
@@ -305,13 +281,15 @@ def quotient_closed_form(
         U[n-1][n] = x_{n-1} / (n-1,n)
         U[i][n] = (1,i) / (1,n)         i != n, n-1
 
-    and zero elsewhere. Every division is exact; a remainder means a bug and
-    raises. ``verdict`` is ignored: the set alone decides TN.
+    and zero elsewhere (for n = 2 the two corner lines give U = [[0, x_1/(1,2)],
+    [x_2/(1,2), 0]]; for n = 1, U = [[1]]). Every division is exact; a
+    remainder means a bug and raises. ``verdict`` is ignored: the set alone
+    decides TN.
     """
     s = OrderedSet.coerce(s)
     n = len(s)
-    if n < 3:
-        raise SizeTooSmallError(f"closed-form quotient needs n >= 3, got n = {n}")
+    if n == 1:
+        return ExactMatrix([[1]])
     first, last = _require_tn(s)  # first[i] = (1,i+1), last[i] = (i+1,n)
     x = s.elements
 

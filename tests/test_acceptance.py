@@ -33,7 +33,13 @@ from gcdmat.setmodel import (
     pow_matrix,
     reconstruct,
 )
-from gcdmat.tncore import check_tn_triple, lcm_from_gcds, quotient_closed_form, tridiagonal_inverse
+from gcdmat.tncore import (
+    check_tn_triple,
+    lcm_from_gcds,
+    quotient_closed_form,
+    single_pair_identities_hold,
+    tridiagonal_inverse,
+)
 
 from oracles import (
     filtered_totient_product,
@@ -174,13 +180,14 @@ def test_criterion_3_six_element_example():
 
 
 def test_criterion_4_three_way_tn_equivalence(mixed_sets):
-    with criterion(4, "triple identity == column monotone == minors, 500 sets", 60.0):
+    with criterion(4, "single pair == triple == column monotone == minors, 500 sets", 60.0):
         assert len(mixed_sets) >= 500
         for s in mixed_sets:
+            single = single_pair_identities_hold(s)
             triple = check_tn_triple(s).is_tn
             monotone = bool(is_column_monotone(pow_matrix(s)))
             minors = bool(all_minors_nonnegative(gcd_matrix(s)))
-            assert triple == monotone == minors, s
+            assert single == triple == monotone == minors, s
 
 
 def test_criterion_5_closed_forms_match_oracle(tn_sets):
@@ -191,14 +198,14 @@ def test_criterion_5_closed_forms_match_oracle(tn_sets):
             verdict = check_tn_triple(s)
             assert verdict.is_tn
             g, l = gcd_matrix(s), lcm_matrix(s)
-            tri = tridiagonal_inverse(s, verdict).as_matrix()
+            tri = tridiagonal_inverse(s).as_matrix()
             assert tri == solve_right(g, ExactMatrix.identity(n))
-            u = quotient_closed_form(s, verdict)
+            u = quotient_closed_form(s)
             assert u.is_integral()
             assert u == solve_right(g, l)
             for i in range(1, n + 1):
                 for j in range(i, n + 1):
-                    assert lcm_from_gcds(s, i, j, verdict) == lcm(s[i - 1], s[j - 1])
+                    assert lcm_from_gcds(s, i, j) == lcm(s[i - 1], s[j - 1])
 
 
 def test_criterion_6_classical_determinants(factor_closed_sets, gcd_closed_sets):

@@ -43,10 +43,10 @@ class TestDivideVerb:
         assert doc["violation"] == [2, 1, "3/4"]
         assert doc["method"] == "oracle"
 
-    def test_two_elements_use_oracle(self, capsys):
+    def test_two_elements_use_closed_form(self, capsys):
         code, doc, _ = run_json(capsys, "divide", "2", "3", "--verify")
         assert code == 0
-        assert doc["method"] == "oracle"
+        assert doc["method"] == "closed-form"
         assert doc["witness"] == [["0", "2"], ["3", "0"]]
         assert doc["verified"] is True
 
@@ -97,7 +97,7 @@ class TestDivideVerb:
             "divide_oracle",
             lambda s: DivisibilityReport(True, witness=ExactMatrix.identity(len(s))),
         )
-        code, out, err = run(capsys, "divide", "2", "3", "--verify")
+        code, out, err = run(capsys, "divide", "2", "3", "4", "--verify")  # not TN
         assert code == 3
         assert "lcm" in err
 
@@ -123,6 +123,16 @@ class TestAnalyzeVerb:
         code, doc, _ = run_json(capsys, "analyze", *elems)
         assert code == 0
         assert doc["minors_nonnegative"] is None  # 9 > default cap of 8
+
+    def test_thirty_prime_element_is_fast(self, capsys):
+        """The primorial has 2^30 divisors; the factor-closed check stops at
+        the divisor count instead of listing them."""
+        primorial = 31610054640417607788145206291543662493274686990
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "analyze", "1", str(primorial))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert doc["factor_closed"] is False
 
     def test_coprime_chains_rendering(self, capsys):
         code, doc, _ = run_json(capsys, "analyze", "2", "4", "3", "9")
@@ -182,10 +192,12 @@ class TestInvertVerb:
         inverse = ExactMatrix(doc["inverse"]["entries"])
         assert inverse * gcd_matrix([2, 3, 4]) == ExactMatrix.identity(3)
 
-    def test_solve_fallback_for_two_elements(self, capsys):
+    def test_tridiagonal_for_two_elements(self, capsys):
         code, doc, _ = run_json(capsys, "invert", "4", "6")
         assert code == 0
-        assert doc["method"] == "solve"
+        assert doc["method"] == "tridiagonal"
+        assert doc["sub_super"] == ["-1/10"]
+        assert doc["diagonal"] == ["3/10", "1/5"]
         inverse = ExactMatrix(doc["inverse"]["entries"])
         assert inverse * gcd_matrix([4, 6]) == ExactMatrix.identity(2)
 

@@ -10,10 +10,9 @@ from gcdmat.divisibility import (
     divide,
     divide_oracle,
     divide_power,
-    divide_via_closed_form,
     search_gcd_closed_nondivisor,
 )
-from gcdmat.errors import InvalidArgumentError, NotTnError, SizeTooSmallError
+from gcdmat.errors import InvalidArgumentError
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import OrderedSet, is_gcd_closed, reconstruct
@@ -76,32 +75,34 @@ class TestDivideOracle:
 
 class TestDivideViaClosedForm:
     def test_agrees_with_oracle_on_worked_example(self):
-        closed = divide_via_closed_form([2, 6, 12])
+        closed = divide([2, 6, 12])
         oracle = divide_oracle([2, 6, 12])
         assert closed.divides and closed.witness == oracle.witness
         assert closed.method == "closed-form"
 
     def test_six_element_set(self):
-        report = divide_via_closed_form(SIX_ELEMENT)
+        report = divide(SIX_ELEMENT)
         assert report.divides
+        assert report.method == "closed-form"
         assert report.witness * gcd_matrix(SIX_ELEMENT) == lcm_matrix(SIX_ELEMENT)
 
     def test_preconditions(self):
-        with pytest.raises(NotTnError):
-            divide_via_closed_form([2, 3, 4])
-        with pytest.raises(SizeTooSmallError):
-            divide_via_closed_form([2, 6])
+        assert divide([2, 3, 4]).method == "oracle"
+        report = divide([2, 6])
+        assert report.method == "closed-form"
+        assert report.witness == ExactMatrix([[0, 1], [3, 0]])
 
     def test_matches_oracle_on_random_tn_sets(self):
         """The closed form, and the front door on three families: TN sets
         (closed form), their shuffles, mostly not TN (oracle), and sets with
-        n <= 2 (oracle)."""
+        n <= 2 (closed form: every such set is TN)."""
         rng = SplitMix64(40)
         shuffles_not_tn = 0
         for _ in range(30):
             s = reconstruct(random_monotone_exponents(rng, rng.randint(3, 7)))
-            closed = divide_via_closed_form(s)
+            closed = divide(s)
             oracle = divide_oracle(s)
+            assert closed.method == "closed-form"
             assert closed.divides == oracle.divides == True  # noqa: E712
             assert closed.witness == oracle.witness
             t = shuffled(rng, s)
@@ -110,7 +111,7 @@ class TestDivideViaClosedForm:
             for u, method in (
                 (s, "closed-form"),
                 (t, "closed-form" if tn else "oracle"),
-                (s[: rng.randint(1, 2)], "oracle"),
+                (s[: rng.randint(1, 2)], "closed-form"),
             ):
                 report = divide(u)
                 assert report.method == method

@@ -6,12 +6,8 @@ import pytest
 
 from gcdmat import tncore
 from gcdmat.cli import _json
-from gcdmat.divisibility import divide_via_closed_form
-from gcdmat.errors import (
-    IndexOrderError,
-    NotTnError,
-    SizeTooSmallError,
-)
+from gcdmat.divisibility import divide, divide_oracle
+from gcdmat.errors import InvalidArgumentError, NotTnError
 from gcdmat.exactmatrix import (
     ExactMatrix,
     all_minors_nonnegative,
@@ -24,6 +20,7 @@ from gcdmat.numtheory import lcm
 from gcdmat.setmodel import is_column_monotone, pow_matrix, power_set, reconstruct
 from gcdmat.tncore import (
     TnVerdict,
+    TridiagonalInverse,
     check_quadruple_identity,
     check_tn_monotone,
     check_tn_triple,
@@ -74,11 +71,11 @@ class TestCheckTnTriple:
                 chain.append(chain[-1] * rng.randint(2, 5))
             assert check_tn_triple(chain).is_tn
 
-    def test_small_sets_use_minors(self):
+    def test_small_sets_use_the_triple_scan(self):
         for s in ([7], [4, 10], [3, 5]):
             verdict = check_tn_triple(s)
             assert verdict.is_tn
-            assert verdict.method == "ExhaustiveMinors"
+            assert verdict.method == "TripleIdentity"
 
     def test_json_dict(self):
         assert _json(check_tn_triple([2, 3, 4])) == {
@@ -156,21 +153,29 @@ class TestFourWayAgreement:
 
 
 class TestVerdictArgumentIsIgnored:
-    """A false positive verdict cannot make a closed form accept a non-TN set."""
+    """A false positive verdict cannot make the closed form accept a non-TN set."""
 
     @pytest.mark.parametrize("x", [[2, 3, 4], [6, 10, 15]])
     def test_false_verdict_raises_not_tn(self, x):
-        lie = TnVerdict(True, "TripleIdentity")
-        for closed_form in (
-            tridiagonal_inverse,
-            quotient_closed_form,
-            check_quadruple_identity,
-            divide_via_closed_form,
-        ):
-            with pytest.raises(NotTnError):
-                closed_form(x, lie)
         with pytest.raises(NotTnError):
-            lcm_from_gcds(x, 1, 2, lie)
+            quotient_closed_form(x, TnVerdict(True, "TripleIdentity"))
+
+
+class TestSmallSets:
+    """Every set with n <= 2 is TN, and the closed forms hold there too."""
+
+    def test_every_pair_and_singleton(self):
+        sets = [(x,) for x in range(1, 101)]
+        sets += [(a, b) for a in range(1, 61) for b in range(1, 61) if a != b]
+        assert len(sets) == 100 + 3540
+        for s in sets:
+            g = gcd_matrix(s)
+            assert quotient_closed_form(s) == divide_oracle(s).witness, s
+            assert tridiagonal_inverse(s).as_matrix() == solve_right(
+                g, ExactMatrix.identity(len(s))
+            ), s
+            assert divide(s).method == "closed-form", s
+            assert check_tn_triple(s).is_tn and check_tn_monotone(s).is_tn, s
 
 
 class TestQuadrupleIdentity:
@@ -203,7 +208,7 @@ class TestLcmFromGcds:
         assert lcm_from_gcds([2, 6, 12], 1, 1) == 2
 
     def test_index_errors(self):
-        with pytest.raises(IndexOrderError):
+        with pytest.raises(InvalidArgumentError, match=r"need i <= j, got \(2, 1\)"):
             lcm_from_gcds([2, 6, 12], 2, 1)
         with pytest.raises(ValueError):
             lcm_from_gcds([2, 6, 12], 0, 2)
@@ -214,10 +219,9 @@ class TestLcmFromGcds:
         rng = SplitMix64(25)
         for _ in range(40):
             s = reconstruct(random_monotone_exponents(rng, rng.randint(3, 7)))
-            verdict = check_tn_triple(s)
             for i in range(1, len(s) + 1):
                 for j in range(i, len(s) + 1):
-                    assert lcm_from_gcds(s, i, j, verdict) == lcm(s[i - 1], s[j - 1])
+                    assert lcm_from_gcds(s, i, j) == lcm(s[i - 1], s[j - 1])
 
 
 class TestTridiagonalInverse:
@@ -228,8 +232,10 @@ class TestTridiagonalInverse:
         assert tri.as_matrix() * gcd_matrix([2, 6, 12]) == ExactMatrix.identity(3)
 
     def test_errors(self):
-        with pytest.raises(SizeTooSmallError):
-            tridiagonal_inverse([2, 6])
+        tri = tridiagonal_inverse([2, 6])
+        assert tri.sub_super == (Fraction(-1, 4),)
+        assert tri.diagonal == (Fraction(3, 4), Fraction(1, 4))
+        assert tridiagonal_inverse([7]) == TridiagonalInverse((), (Fraction(1, 7),))
         with pytest.raises(NotTnError):
             tridiagonal_inverse([2, 3, 4])
 
@@ -237,8 +243,7 @@ class TestTridiagonalInverse:
         rng = SplitMix64(26)
         for _ in range(30):
             s = reconstruct(random_monotone_exponents(rng, rng.randint(3, 7)))
-            verdict = check_tn_triple(s)
-            tri = tridiagonal_inverse(s, verdict)
+            tri = tridiagonal_inverse(s)
             assert all(a < 0 for a in tri.sub_super)
             inverse = tri.as_matrix()
             g = gcd_matrix(s)
@@ -259,8 +264,8 @@ class TestQuotientClosedForm:
         assert u == solve_right(gcd_matrix(PASCAL_SET), lcm_matrix(PASCAL_SET))
 
     def test_errors(self):
-        with pytest.raises(SizeTooSmallError):
-            quotient_closed_form([2, 6])
+        assert quotient_closed_form([2, 6]) == ExactMatrix([[0, 1], [3, 0]])
+        assert quotient_closed_form([7]) == ExactMatrix([[1]])
         with pytest.raises(NotTnError):
             quotient_closed_form([2, 3, 4])
 
