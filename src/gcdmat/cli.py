@@ -173,7 +173,7 @@ def _cmd_invert(args) -> tuple[dict, int]:
 def _divisibility(report: divisibility.DivisibilityReport, **extra) -> dict:
     """A divisibility report's fields, its witness as the bare entry grid,
     then the verb's own keys."""
-    witness = report.witness.entries if report.witness is not None else None
+    witness = _entry_strings(report.witness) if report.witness is not None else None
     return {**vars(report), "witness": witness, **extra}
 
 
@@ -185,7 +185,7 @@ def _witness_holds(s: OrderedSet, witness: ExactMatrix) -> bool:
         return False
     g = [[gcd(a, b) for b in s] for a in s]
     for row, a in zip(witness, s):
-        terms = [(w.numerator, g[k]) for k, w in enumerate(row) if w]
+        terms = [(w, g[k]) for k, w in enumerate(row) if w]
         if any(sum(w * col[j] for w, col in terms) != lcm(a, b) for j, b in enumerate(s)):
             return False
     return True
@@ -276,12 +276,17 @@ def _json(value):
     if isinstance(value, OrderedSet):
         return [str(x) for x in value]
     if isinstance(value, ExactMatrix):
-        return {"rows": value.rows, "cols": value.cols, "entries": _json(value.entries)}
+        return {"rows": value.rows, "cols": value.cols, "entries": _entry_strings(value)}
     if isinstance(value, ExponentMatrix):
         return {"primes": [str(p) for p in value.primes], "exponents": _json(value.exponents)}
     if is_dataclass(value):
         return _json(vars(value))
     return value
+
+
+def _entry_strings(m: ExactMatrix) -> list[list[str]]:
+    """A matrix's entries as decimal strings, ints and fractions alike."""
+    return [[str(e) for e in row] for row in m]
 
 
 def _scalar(value) -> str:

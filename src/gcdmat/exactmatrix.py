@@ -1,12 +1,15 @@
 """Dense exact-rational matrices: gcd/lcm matrices, determinants, solves.
 
-Entries are ``fractions.Fraction`` (integers included as denominator-1
-fractions), so every operation here is exact; there is no floating point
-anywhere in this module.
+An integral entry is stored as an ``int`` and only a non-integral one as a
+``fractions.Fraction`` (denominator above 1), so every operation here is
+exact and an integer matrix holds no ``Fraction`` at all; there is no
+floating point anywhere in this module.
 
-Determinants, minors, positive definiteness (one pass) and the solve share
-one fraction-free integer elimination (Bareiss); only solve outputs become
-fractions again.
+Determinants, positive definiteness and the solve read one fraction-free
+integer LU (Bareiss, keeping each step's multipliers and row swaps) of the
+matrix's transpose, made on first use and kept with the immutable matrix;
+the solve pushes each right-hand side through the recorded steps. The
+exhaustive minors run the same elimination on each submatrix.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
+from math import lcm as _lcm
+from math import prod
+from operator import mul, neg
 from typing import Iterable, Iterator
 
 from . import numtheory
@@ -32,29 +38,32 @@ DEFAULT_MINOR_CAP = 8
 Entry = int | Fraction
 
 
-def _as_fraction(value) -> Fraction:
+def _entry(value) -> Entry:
+    """An exact entry from anything but a plain int (the constructor keeps
+    those as they are): an int, or a Fraction whose denominator exceeds 1."""
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return _entry(Fraction(value))
     raise TypeError(f"cannot use {value!r} as an exact matrix entry")
 
 
 class ExactMatrix:
     """Immutable dense matrix with exact rational entries."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_lu")
 
     def __init__(self, entries: Iterable[Iterable[Entry]]):
-        rows = tuple(tuple(_as_fraction(e) for e in row) for row in entries)
+        # Rows come from lists: tuple(<generator>) resizes its result, and the
+        # resized tuples pile up on CPython's tuple free lists.
+        rows = tuple([tuple([e if type(e) is int else _entry(e) for e in row]) for row in entries])
         if not rows or not rows[0]:
             raise DimensionMismatchError("matrix needs at least one row and one column")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise DimensionMismatchError("ragged rows in matrix literal")
         self._entries = rows
+        self._lu: _Factorization | None = None
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -69,13 +78,13 @@ class ExactMatrix:
         return len(self._entries[0])
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
         return self._entries
 
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
+    def __getitem__(self, i: int) -> tuple[Entry, ...]:
         return self._entries[i]
 
-    def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
+    def __iter__(self) -> Iterator[tuple[Entry, ...]]:
         return iter(self._entries)
 
     def __eq__(self, other: object) -> bool:
@@ -120,6 +129,13 @@ class ExactMatrix:
         cols = tuple(col_idx)
         return ExactMatrix([[self._entries[i][j] for j in cols] for i in row_idx])
 
+    def _factorization(self) -> _Factorization:
+        """The LU of this square matrix's transpose, made once and kept."""
+        if self._lu is None:
+            rows, mults = _integer_rows(zip(*self._entries))
+            self._lu = (rows, *_bareiss(rows), mults)
+        return self._lu
+
 
 def gcd_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = gcd(x_i, x_j)."""
@@ -133,56 +149,67 @@ def lcm_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     return ExactMatrix([[numtheory.lcm(a, b) for b in s] for a in s])
 
 
-def _integer_rows_and_scale(rows: Iterable[tuple[Fraction, ...]]) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; returns integer rows and the product of
-    the per-row multipliers, so det(rows) = det(int rows) / scale. Every
-    multiplier is positive, so each leading principal minor keeps its sign."""
-    scale = 1
-    int_rows = []
+def _integer_rows(rows: Iterable[Iterable[Entry]]) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row by row; returns the integer rows and the
+    positive multiplier of each row, so det(rows) = det(int rows) / prod(mults)
+    and each leading principal minor keeps its sign."""
+    int_rows, mults = [], []
     for row in rows:
-        mult = 1
-        for e in row:
-            mult = mult // _gcd(mult, e.denominator) * e.denominator
-        scale *= mult
-        int_rows.append([e.numerator * (mult // e.denominator) for e in row])
-    return int_rows, scale
+        row = list(row)
+        mult = _lcm(*[e.denominator for e in row])
+        int_rows.append(row if mult == 1 else [e.numerator * (mult // e.denominator) for e in row])
+        mults.append(mult)
+    return int_rows, mults
 
 
-def _bareiss(rows: list[list[int]], n: int) -> tuple[list[int], bool]:
-    """Fraction-free (Bareiss) elimination, in place, on the first n columns
-    of n integer rows; columns past n ride along as right-hand sides.
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Fraction-free (Bareiss) LU of n square integer rows, in place.
 
-    Returns the pivots and whether a row swap occurred. A swap negates the
-    incoming row, so the last pivot is the determinant; with no swap pivot k
-    is the leading (k+1)x(k+1) minor. A column left without a nonzero entry
-    ends the pass with a final pivot of 0."""
-    pivots, swapped, prev = [], False, 1
-    width = len(rows[0])
+    On and above the diagonal the rows end as the fraction-free U; entry
+    (i, k) below it keeps the multiplier row i had at step k. Returns the
+    pivots and the row swaps (k, s) in the order made. A swap negates the
+    incoming row, multipliers included, so the last pivot is the
+    determinant; with no swap pivot k is the leading (k+1)x(k+1) minor. A
+    column left without a nonzero entry ends the pass with a final pivot
+    of 0."""
+    n = len(rows)
+    pivots, swaps, prev = [], [], 1
     for k in range(n):
         if rows[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
             if swap is None:
                 pivots.append(0)
-                return pivots, swapped
+                return pivots, swaps
             rows[k], rows[swap] = [-e for e in rows[swap]], rows[k]
-            swapped = True
+            swaps.append((k, swap))
         row_k, pivot = rows[k], rows[k][k]
-        for row_i in rows[k + 1:n]:
+        tail_k = row_k[k + 1:]
+        for row_i in rows[k + 1:]:
             head = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
+            row_i[k + 1:] = [
+                (a * pivot - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)
+            ]
         pivots.append(pivot)
         prev = pivot
-    return pivots, swapped
+    return pivots, swaps
 
 
-def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant: the last Bareiss pivot after clearing denominators."""
+# Fraction-free LU of the integer rows of a square matrix's transpose:
+# (rows, pivots, swaps) from _bareiss and the mults from _integer_rows.
+_Factorization = tuple[list[list[int]], list[int], list[tuple[int, int]], list[int]]
+
+
+def _ratio(v: int, d: int) -> Entry:
+    """v / d as an entry: an int when d divides v."""
+    return v // d if v % d == 0 else Fraction(v, d)
+
+
+def determinant(m: ExactMatrix) -> Entry:
+    """Exact determinant: the last Bareiss pivot over the row multipliers."""
     if not m.is_square():
         raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    int_rows, scale = _integer_rows_and_scale(m)
-    return Fraction(_bareiss(int_rows, m.rows)[0][-1], scale)
+    _, pivots, _, mults = m._factorization()
+    return _ratio(pivots[-1], prod(mults))
 
 
 @dataclass(frozen=True)
@@ -197,7 +224,7 @@ class MinorsReport:
     all_nonnegative: bool
     witness_rows: tuple[int, ...] | None = None
     witness_cols: tuple[int, ...] | None = None
-    witness_value: Fraction | None = None
+    witness_value: Entry | None = None
 
     def __bool__(self) -> bool:
         return self.all_nonnegative
@@ -216,13 +243,13 @@ def all_minors_nonnegative(m: ExactMatrix, size_cap: int = DEFAULT_MINOR_CAP) ->
         raise TooLargeForExhaustiveMinorsError(
             f"order {n} exceeds the exhaustive-minor cap {size_cap}"
         )
-    int_rows, scale = _integer_rows_and_scale(m)
-    # scale > 0, so the sign of each integer minor matches the rational one
+    int_rows, _ = _integer_rows(m)
+    # every multiplier is positive, so each integer minor has the rational one's sign
     for size in range(1, n + 1):
         for rows in itertools.combinations(range(n), size):
             for cols in itertools.combinations(range(n), size):
                 sub = [[int_rows[i][j] for j in cols] for i in rows]
-                if _bareiss(sub, size)[0][-1] < 0:
+                if _bareiss(sub)[0][-1] < 0:
                     value = determinant(m.submatrix(rows, cols))
                     witness = tuple(i + 1 for i in rows), tuple(j + 1 for j in cols)
                     return MinorsReport(False, *witness, value)
@@ -232,8 +259,10 @@ def all_minors_nonnegative(m: ExactMatrix, size_cap: int = DEFAULT_MINOR_CAP) ->
 def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Solve X * a = b exactly for X (a square and nonsingular).
 
-    Row r of X solves a^T x = b[r]: one Bareiss pass on the integer rows of
-    [a^T | b^T], then fraction-free back-substitution gives y = det * x."""
+    Row r of X solves a^T x = b[r]. Every right-hand side, scaled by a's row
+    multipliers and cleared to integers (its factor c), goes at once through
+    the swaps and elimination steps recorded in a's cached LU; fraction-free
+    back-substitution then gives y = d * c * x, with d the last pivot."""
     if not a.is_square():
         raise DimensionMismatchError(f"coefficient matrix must be square, got {a.rows}x{a.cols}")
     if b.cols != a.rows:
@@ -241,27 +270,42 @@ def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             f"cannot solve X*a=b with a {a.rows}x{a.cols} and b {b.rows}x{b.cols}"
         )
     n = a.rows
-    work, _ = _integer_rows_and_scale(zip(*a, *b))
-    d = _bareiss(work, n)[0][-1]
+    rows, pivots, swaps, mults = a._factorization()
+    d = pivots[-1]
     if d == 0:
         raise SingularMatrixError(f"matrix is singular (rank below {n})")
+    rhs_rows, rhs_mults = _integer_rows(map(mul, row, mults) for row in b)
+    # equation i of every system at once: rhs[i][r] belongs to b[r]
+    rhs = list(map(list, zip(*rhs_rows)))
+    # A swap moves (and negates) a row's stored multipliers with it, so every
+    # swap can be replayed before the first elimination step.
+    for k, s in swaps:
+        rhs[k], rhs[s] = list(map(neg, rhs[s])), rhs[k]
+    prev = 1
+    for k, pivot in enumerate(pivots):
+        rhs_k = rhs[k]
+        for i in range(k + 1, n):
+            head = rows[i][k]
+            rhs[i] = [(v * pivot - head * w) // prev for v, w in zip(rhs[i], rhs_k)]
+        prev = pivot
     solution = []
-    for c in range(n, n + b.rows):
+    for r, c in zip(zip(*rhs), rhs_mults):
         y = [0] * n
         for i in range(n - 1, -1, -1):
-            row = work[i]
-            y[i] = (d * row[c] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-        solution.append([Fraction(v, d) for v in y])
+            row = rows[i]
+            y[i] = (d * r[i] - sum(map(mul, row[i + 1:], y[i + 1:]))) // row[i]
+        dc = d * c
+        solution.append([_ratio(v, dc) for v in y])
     return ExactMatrix(solution)
 
 
 def is_positive_definite(m: ExactMatrix) -> bool:
     """All leading principal minors strictly positive (symmetric input only):
-    one Bareiss pass with no row swap (a swap means a leading minor is 0)."""
+    the cached LU made no row swap (a swap means a leading minor is 0) and
+    all its pivots are positive."""
     if not m.is_square():
         raise NotSquareError(f"positive definiteness needs a square matrix, got {m.rows}x{m.cols}")
     if not m.is_symmetric():
         raise NotSymmetricError("positive definiteness is only checked for symmetric matrices")
-    int_rows, _ = _integer_rows_and_scale(m)
-    pivots, swapped = _bareiss(int_rows, m.rows)
-    return not swapped and all(p > 0 for p in pivots)
+    _, pivots, swaps, _ = m._factorization()
+    return not swaps and all(p > 0 for p in pivots)

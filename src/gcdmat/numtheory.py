@@ -36,14 +36,20 @@ _MR_ROUNDS_ABOVE_64_BITS = 40
 
 
 def _segment(lo: int, hi: int, primes: tuple[int, ...]) -> tuple[int, ...]:
-    """The primes in [lo, hi), given every prime below lo and lo * lo >= hi."""
-    sieve = bytearray([1]) * (hi - lo)
-    for p in primes:
+    """The primes in [lo, hi), given every prime below lo, lo >= 3 and
+    lo * lo >= hi. Only odd numbers are sieved: entry t stands for start + 2t."""
+    start = lo | 1
+    odds = range(start, hi, 2)
+    sieve = bytearray([1]) * len(odds)
+    for p in primes[1:]:
         if p * p >= hi:
             break
-        first = max(p * p, -(-lo // p) * p) - lo
-        sieve[first::p] = bytes(len(range(first, hi - lo, p)))
-    return tuple(itertools.compress(range(lo, hi), sieve))
+        first = max(p * p, -(-lo // p) * p)
+        if first % 2 == 0:
+            first += p
+        t = (first - start) // 2
+        sieve[t::p] = bytes(len(range(t, len(odds), p)))
+    return tuple(itertools.compress(odds, sieve))
 
 
 # (L, every prime below L). Growing replaces the pair whole, so a reader

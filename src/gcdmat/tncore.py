@@ -98,7 +98,7 @@ class TridiagonalInverse:
 
     def as_matrix(self) -> ExactMatrix:
         n = self.n
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = self.diagonal[i]
         for i, a in enumerate(self.sub_super):
@@ -112,15 +112,16 @@ def _first_violating_triple(x: tuple[int, ...]) -> tuple[int, int, int] | None:
     n = len(x)
     g = [[_gcd(a, b) for b in x] for a in x]
     for i in range(n):
-        gi = g[i]
+        gi, xi = g[i], x[i]
+        xik = [xi * v for v in x]
         for j in range(i, n):
             gij, gj, xj = gi[j], g[j], x[j]
             for k in range(j, n):
-                gik = gi[k]
-                product_identity = gij * gj[k] == xj * gik
-                triple_gcd = gik == _gcd(gij, x[k])
-                divides = (x[i] * x[k]) % (xj * gik) == 0
-                if not (product_identity and triple_gcd and divides):
+                gik, gjk = gi[k], gj[k]
+                xj_gik = xj * gik
+                # product identity; (i,k) = gcd(x_i, x_j, x_k) = gcd((i,j), (j,k));
+                # x_j*(i,k) | x_i*x_k
+                if gij * gjk != xj_gik or gik != _gcd(gij, gjk) or xik[k] % xj_gik:
                     return (i + 1, j + 1, k + 1)
     return None
 

@@ -30,6 +30,25 @@ def cofactor_determinant(rows) -> Fraction:
     return total
 
 
+def first_violating_triple(x) -> tuple[int, int, int] | None:
+    """The literal triple scan: every product, gcd and divisibility term
+    recomputed for each 1-based triple i <= j <= k; the first failing one."""
+    n = len(x)
+    g = [[gcd(a, b) for b in x] for a in x]
+    for i in range(n):
+        gi = g[i]
+        for j in range(i, n):
+            gij, gj, xj = gi[j], g[j], x[j]
+            for k in range(j, n):
+                gik = gi[k]
+                product_identity = gij * gj[k] == xj * gik
+                triple_gcd = gik == gcd(gij, x[k])
+                divides = (x[i] * x[k]) % (xj * gik) == 0
+                if not (product_identity and triple_gcd and divides):
+                    return (i + 1, j + 1, k + 1)
+    return None
+
+
 def brute_monotone_images(elements) -> list[tuple[int, ...]]:
     """All 1-based images whose reordering has a column-monotone exponent grid."""
     elems = list(elements)

@@ -16,7 +16,7 @@ from gcdmat.errors import InvalidArgumentError
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import OrderedSet, is_gcd_closed, reconstruct
-from gcdmat.tncore import check_tn_triple, single_pair_identities_hold
+from gcdmat.tncore import check_tn_triple, quotient_closed_form, single_pair_identities_hold
 
 from oracles import divisor_closure, random_distinct_set, random_tree_set, shuffled
 
@@ -52,6 +52,14 @@ class TestDivideOracle:
         assert not report.divides
         assert report.witness is None
         assert report.violation == (2, 1, Fraction(3, 4))
+
+    def test_witnesses_hold_ints(self):
+        witnesses = [divide_oracle([1, 2, 3]).witness, divide([1, 2, 3]).witness]
+        for elems in ([2, 6, 12], SIX_ELEMENT, [42]):
+            witnesses += [divide_oracle(elems).witness, divide(elems).witness]
+            witnesses.append(quotient_closed_form(elems))
+        for witness in witnesses:
+            assert all(type(e) is int for row in witness for e in row), witness
 
     def test_left_witness_transpose(self):
         for elems in ([2, 6, 12], [1, 2, 3], SIX_ELEMENT):

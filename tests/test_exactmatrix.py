@@ -34,10 +34,24 @@ from oracles import (
 
 
 class TestExactMatrix:
-    def test_construction_normalizes_to_fractions(self):
-        m = ExactMatrix([[1, "1/2"], [Fraction(3, 4), 0]])
-        assert m[0][1] == Fraction(1, 2)
-        assert all(isinstance(e, Fraction) for row in m for e in row)
+    def test_construction_stores_ints_and_proper_fractions(self):
+        given = [
+            [1, "1/2", Fraction(6, 3)],
+            [Fraction(3, 4), 0, "-8"],
+            ["4/2", Fraction(-1, 3), 5],
+        ]
+        m = ExactMatrix(given)
+        for row, given_row in zip(m, given):
+            for e, g in zip(row, given_row):
+                assert type(e) is int or (type(e) is Fraction and e.denominator > 1)
+                assert e == Fraction(g)
+        assert [type(e) for e in m[0]] == [int, Fraction, int]
+
+    def test_int_and_fraction_built_matrices_are_equal_and_hash_equal(self):
+        ints = ExactMatrix([[2, -1], [0, 7]])
+        fractions = ExactMatrix([[Fraction(2), Fraction(-4, 4)], [Fraction(0), "7"]])
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert {ints: 1}[fractions] == 1
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatchError):
@@ -231,6 +245,52 @@ class TestSolveRight:
             solve_right(ExactMatrix([[1, 2]]), ExactMatrix.identity(2))
         with pytest.raises(DimensionMismatchError):
             solve_right(ExactMatrix.identity(2), ExactMatrix([[1, 2, 3]]))
+
+
+class TestCachedFactorization:
+    """determinant, is_positive_definite and solve_right share one LU kept
+    with the matrix; the order of the calls must not change any answer."""
+
+    RHS = [[1, Fraction(2, 3), -5], [7, 0, Fraction(1, 9)]]
+    CASES = [
+        # the gcd matrix of (2, 6, 12): symmetric, positive definite
+        ([[2, 2, 2], [2, 6, 6], [2, 6, 12]], True),
+        # symmetric with a zero leading entry, so the LU swaps rows: indefinite
+        ([[0, 2, 1], [2, 1, 3], [1, 3, 5]], False),
+        # rational, not symmetric
+        ([[Fraction(1, 2), 3, Fraction(-2, 3)], [4, Fraction(5, 7), 1], [0, 2, Fraction(9, 4)]],
+         None),
+    ]
+
+    @classmethod
+    def answers(cls, m, order):
+        calls = {
+            "det": lambda: determinant(m),
+            "pd": lambda: is_positive_definite(m) if m.is_symmetric() else None,
+            "solve": lambda: solve_right(m, ExactMatrix(cls.RHS)),
+        }
+        return {name: calls[name]() for name in order}
+
+    def test_every_call_order_agrees(self):
+        from itertools import permutations
+
+        for rows, definite in self.CASES:
+            fresh = self.answers(ExactMatrix(rows), ["det", "pd", "solve"])
+            assert fresh["det"] == cofactor_determinant(rows)
+            assert fresh["pd"] is definite
+            assert fresh["solve"] * ExactMatrix(rows) == ExactMatrix(self.RHS)
+            shared = ExactMatrix(rows)
+            for order in permutations(fresh):
+                assert self.answers(shared, order) == fresh
+                assert self.answers(ExactMatrix(rows), order) == fresh
+
+    def test_singular_matrix_raises_every_time(self):
+        m = ExactMatrix([[1, 2, 3], [2, 4, 6], [3, 6, 10]])
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                solve_right(m, ExactMatrix.identity(3))
+            assert determinant(m) == 0
+            assert not is_positive_definite(m)
 
 
 class TestPositiveDefinite:

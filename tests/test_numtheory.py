@@ -151,6 +151,23 @@ def test_first_primes_grow_past_the_small_sieve():
     assert list(primes) == [n for n in range(2, 7920) if trial_division_factors(n) == [(n, 1)]]
 
 
+def test_every_doubling_segment_matches_a_plain_sieve():
+    limit = 1 << 20
+    plain = bytearray([1]) * limit
+    plain[0] = plain[1] = 0
+    for p in range(2, 1 << 10):
+        if plain[p]:
+            plain[p * p::p] = bytes(len(range(p * p, limit, p)))
+    primes = [n for n in range(limit) if plain[n]]
+    lo = 4
+    while lo < limit:
+        below = tuple(p for p in primes if p < lo)
+        assert list(numtheory._segment(lo, 2 * lo, below)) == [
+            p for p in primes if lo <= p < 2 * lo
+        ], lo
+        lo *= 2
+
+
 def test_readme_analyze_stays_in_the_small_sieve():
     """The README tour's analyze elements are 7-smooth: analyzing them never
     sieves past 2**12."""

@@ -30,7 +30,7 @@ from gcdmat.tncore import (
     tridiagonal_inverse,
 )
 
-from oracles import perturbed_exponents, random_distinct_set, shuffled
+from oracles import first_violating_triple, perturbed_exponents, random_distinct_set, shuffled
 
 PASCAL_SET = [210, 5402250, 238338491343750, 126233858791143985957031250]
 
@@ -76,6 +76,14 @@ class TestCheckTnTriple:
             verdict = check_tn_triple(s)
             assert verdict.is_tn
             assert verdict.method == "TripleIdentity"
+
+    def test_witness_matches_the_literal_scan(self):
+        witnesses = set()
+        for s in sample_sets(seed=25, count=200, n_range=(1, 14)):
+            verdict = check_tn_triple(s)
+            assert verdict.witness == first_violating_triple(s.elements), s
+            witnesses.add(verdict.witness)
+        assert None in witnesses and len(witnesses) >= 15
 
     def test_json_dict(self):
         assert _json(check_tn_triple([2, 3, 4])) == {
