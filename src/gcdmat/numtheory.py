@@ -256,7 +256,7 @@ def _split(x: int, factors: dict[int, int]) -> None:
             stack += sorted((d, m // d), reverse=True)  # smaller part first
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=256)
 def factorize(x: int) -> tuple[tuple[int, int], ...]:
     """Canonical prime factorization of x >= 1; factorize(1) is empty.
 
@@ -264,9 +264,12 @@ def factorize(x: int) -> tuple[tuple[int, int], ...]:
     Miller-Rabin and Pollard rho on whatever remains, so smooth inputs are
     fast and adversarial ones still terminate. Each prime found, by either
     route, leaves with its whole exponent at once (repeated squaring), so a
-    prime power p**e costs O(log e) big divisions. The most recent 1024
+    prime power p**e costs O(log e) big divisions. The most recent 256
     results are cached, so memory stays bounded however many elements a
-    process factorizes.
+    process factorizes. The cache serves a command that factorizes one set
+    several times (``analyze`` factorizes each element at least twice); a
+    stream of distinct sets never hits it, so it is kept small: an entry
+    for an element with a dozen primes holds about 0.5 KB.
     """
     if x == 0:
         raise InvalidArgumentError("cannot factorize 0")

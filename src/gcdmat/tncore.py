@@ -27,17 +27,37 @@ hence the set is TN; conversely monotone columns satisfy both identities.
 ``single_pair_identities_hold`` gives this verdict. Every closed form makes
 the same check on the set it is given and reads the (1,i) and (i,n) vectors
 the check computed, so its result depends on the set alone. The deciders
-``check_tn_triple`` (the literal O(n^3) triple scan, whose negative verdict
-names the first violating triple), ``check_tn_monotone`` and the exhaustive
-minors of ``exactmatrix`` stay as independent cross-checks. Every set with
-n <= 2 is TN, and the closed forms hold there too.
+``check_tn_triple``, ``check_tn_monotone`` and the exhaustive minors of
+``exactmatrix`` stay as independent cross-checks. Every set with n <= 2 is
+TN, and the closed forms hold there too.
+
+``check_tn_triple`` names the first violating triple (i, j, k), i <= j <= k,
+in lexicographic order, with O(n^2) gcds and lcms rather than one test per
+triple. Per prime, with exponents a, b, c of x_i, x_j, x_k,
+
+    min(a, b) + min(b, c) <= b + min(a, c),
+
+with equality iff b lies between a and c (if b < min(a, c) the left side
+is 2b, if b > max(a, c) it is a + c). So the triple identity holds iff
+(i,k) | x_j and x_j | lcm(x_i, x_k), that is min(a, c) <= b <= max(a, c).
+This holds for every k >= j iff, per prime, max_k min(a, c_k) <= b and
+b <= max(a, min_k c_k), the max and min taken over k >= j. Read back as
+numbers, the pair (i, j) has a violating k >= j iff
+
+    lcm((i,j), ..., (i,n)) does not divide x_j, or
+    x_j does not divide lcm(x_i, gcd(x_j, ..., x_n)).
+
+The first certificate is a suffix lcm along row i, the second reads one
+suffix-gcd vector built once; both are O(n^2) in all. The first pair (i, j)
+in lexicographic order that fails either is the pair of the first violating
+triple, and its k is found by walking k >= j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd as _gcd, lcm as _lcm
 from typing import Iterable
 
 from .errors import InternalConsistencyError, InvalidArgumentError, NotTnError
@@ -108,30 +128,56 @@ class TridiagonalInverse:
 
 
 def _first_violating_triple(x: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """The triple scan: the first (i, j, k), 1-based, failing the identity."""
+    """The first (i, j, k), 1-based, failing the triple identity, or None.
+
+    The pairs (i, j) are tested by the suffix certificates of the module
+    docstring; only the first failing pair walks its k.
+    """
     n = len(x)
-    g = [[_gcd(a, b) for b in x] for a in x]
-    for i in range(n):
-        gi, xi = g[i], x[i]
-        xik = [xi * v for v in x]
-        for j in range(i, n):
-            gij, gj, xj = gi[j], g[j], x[j]
-            for k in range(j, n):
-                gik, gjk = gi[k], gj[k]
-                xj_gik = xj * gik
-                # product identity; (i,k) = gcd(x_i, x_j, x_k) = gcd((i,j), (j,k));
-                # x_j*(i,k) | x_i*x_k
-                if gij * gjk != xj_gik or gik != _gcd(gij, gjk) or xik[k] % xj_gik:
-                    return (i + 1, j + 1, k + 1)
+    suffix_gcd = list(x)  # suffix_gcd[j] = gcd(x_j, ..., x_n)
+    for j in range(n - 2, -1, -1):
+        suffix_gcd[j] = _gcd(x[j], suffix_gcd[j + 1])
+    for i, xi in enumerate(x):
+        row_lcm, flagged = 1, None  # row_lcm = lcm((i,j), ..., (i,n))
+        for j in range(n - 1, i, -1):  # a pair with j = i never fails
+            xj = x[j]
+            row_lcm = _lcm(row_lcm, _gcd(xi, xj))
+            if xj % row_lcm or _lcm(xi, suffix_gcd[j]) % xj:
+                flagged = j
+        if flagged is not None:
+            return _first_violating_k(x, i, flagged)
     return None
+
+
+def _first_violating_k(x: tuple[int, ...], i: int, j: int) -> tuple[int, int, int]:
+    """The first k >= j (0-based) failing the triple identity with i and j."""
+    xi, xj = x[i], x[j]
+    gij = _gcd(xi, xj)
+    for k in range(j, len(x)):
+        xk = x[k]
+        gik, gjk = _gcd(xi, xk), _gcd(xj, xk)
+        xj_gik = xj * gik
+        # product identity; (i,k) = gcd(x_i, x_j, x_k) = gcd((i,j), (j,k));
+        # x_j*(i,k) | x_i*x_k
+        if gij * gjk != xj_gik or gik != _gcd(gij, gjk) or (xi * xk) % xj_gik:
+            return (i + 1, j + 1, k + 1)
+    raise InternalConsistencyError(
+        f"pair ({i + 1}, {j + 1}) fails a suffix certificate but no triple identity"
+    )
 
 
 def check_tn_triple(s: OrderedSet | Iterable[int]) -> TnVerdict:
     """Decide total nonnegativity of the gcd matrix via the triple identity.
 
     For every 1 <= i <= j <= k <= n the identity (i,j)*(j,k) = x_j*(i,k) must
-    hold; equivalently (i,k) = gcd(x_i, x_j, x_k) and x_j*(i,k) | x_i*x_k,
-    which is validated alongside. The first failing triple is the witness.
+    hold; per prime it says that the exponent of x_j lies between those of
+    x_i and x_k, i.e. (i,k) | x_j and x_j | lcm(x_i, x_k). The scan tests each
+    pair (i, j) against every k >= j at once, through the suffix certificates
+    lcm((i,j), ..., (i,n)) | x_j and x_j | lcm(x_i, gcd(x_j, ..., x_n)) (proof
+    in the module docstring), in O(n^2) gcds and lcms. The witness is the
+    lexicographically first failing triple. Its k is found on the first
+    failing pair by testing, for each k >= j in turn, the identity,
+    (i,k) = gcd(x_i, x_j, x_k) and x_j*(i,k) | x_i*x_k.
     """
     s = OrderedSet.coerce(s)
     witness = _first_violating_triple(s.elements)

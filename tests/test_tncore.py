@@ -1,13 +1,15 @@
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gcdmat import tncore
 from gcdmat.cli import _json
 from gcdmat.divisibility import divide, divide_oracle
-from gcdmat.errors import InvalidArgumentError, NotTnError
+from gcdmat.errors import InternalConsistencyError, InvalidArgumentError, NotTnError
 from gcdmat.exactmatrix import (
     ExactMatrix,
     all_minors_nonnegative,
@@ -17,8 +19,9 @@ from gcdmat.exactmatrix import (
 )
 from gcdmat.generate import SplitMix64, random_monotone_exponents, random_monotone_set
 from gcdmat.numtheory import lcm
-from gcdmat.setmodel import is_column_monotone, pow_matrix, power_set, reconstruct
+from gcdmat.setmodel import ExponentMatrix, is_column_monotone, pow_matrix, power_set, reconstruct
 from gcdmat.tncore import (
+    METHOD_TRIPLE,
     TnVerdict,
     TridiagonalInverse,
     check_quadruple_identity,
@@ -33,6 +36,12 @@ from gcdmat.tncore import (
 from oracles import first_violating_triple, perturbed_exponents, random_distinct_set, shuffled
 
 PASCAL_SET = [210, 5402250, 238338491343750, 126233858791143985957031250]
+
+
+def literal_verdict(x):
+    """The verdict check_tn_triple must give, from the literal O(n^3) scan."""
+    witness = first_violating_triple(tuple(x))
+    return TnVerdict(witness is None, METHOD_TRIPLE, witness)
 
 
 def sample_sets(seed, count, n_range=(1, 6), max_value=400):
@@ -81,9 +90,62 @@ class TestCheckTnTriple:
         witnesses = set()
         for s in sample_sets(seed=25, count=200, n_range=(1, 14)):
             verdict = check_tn_triple(s)
-            assert verdict.witness == first_violating_triple(s.elements), s
+            assert verdict == literal_verdict(s), s
             witnesses.add(verdict.witness)
         assert None in witnesses and len(witnesses) >= 15
+
+    def test_every_small_ordered_tuple_matches_the_literal_scan(self):
+        witnesses = set()
+        for r in (1, 2, 4):
+            for s in permutations(range(1, 13), r):
+                verdict = check_tn_triple(s)
+                assert verdict == literal_verdict(s), s
+                witnesses.add(verdict.witness)
+        # a first violating triple has i = 1: when every (1, j, k) holds, each
+        # exponent lies between the first's and every later one's, so every
+        # column is monotone
+        assert witnesses == {None, (1, 2, 3), (1, 2, 4), (1, 3, 4)}
+
+    @given(st.lists(st.integers(1, 2**12), min_size=1, max_size=7, unique=True))
+    def test_matches_the_literal_scan_property(self, x):
+        assert check_tn_triple(x) == literal_verdict(x)
+
+    @pytest.mark.parametrize("family", ["swap_last_rows", "above_column_max", "below_column_min"])
+    def test_late_violations_match_the_literal_scan(self, family):
+        rng = SplitMix64(31)
+        made = 0
+        while made < 40:
+            m = random_monotone_exponents(rng, rng.randint(3, 10), max_exp=10)
+            grid = [list(row) for row in m.exponents]
+            col = rng.below(m.k)
+            column = [row[col] for row in grid]
+            if family == "swap_last_rows":
+                grid[-2], grid[-1] = grid[-1], grid[-2]
+            elif family == "above_column_max":
+                grid[-2][col] = max(column) + 1
+            elif min(column) > 0:
+                grid[-2][col] = min(column) - 1
+            else:
+                continue
+            s = reconstruct(ExponentMatrix(m.primes, grid))
+            verdict = check_tn_triple(s)
+            # triples with k <= n-2 read only the untouched monotone rows
+            assert not verdict.is_tn and verdict.witness[2] >= len(s) - 1, s
+            assert verdict == literal_verdict(s), s
+            made += 1
+
+    def test_301_element_chain(self):
+        chain = [2**i * 3 ** (300 - i) for i in range(301)]
+        start = time.perf_counter()
+        verdict = check_tn_triple(chain)
+        assert time.perf_counter() - start < 1.0
+        assert verdict == TnVerdict(True, METHOD_TRIPLE)
+        chain[150], chain[151] = chain[151], chain[150]
+        assert check_tn_triple(chain) == TnVerdict(False, METHOD_TRIPLE, (1, 151, 152))
+
+    def test_a_flagged_pair_without_a_failing_triple_raises(self):
+        with pytest.raises(InternalConsistencyError, match=r"pair \(1, 2\)"):
+            tncore._first_violating_k((2, 6, 12), 0, 1)
 
     def test_json_dict(self):
         assert _json(check_tn_triple([2, 3, 4])) == {
