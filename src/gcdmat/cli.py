@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -174,7 +173,7 @@ def _divisibility(report: divisibility.DivisibilityReport, **extra) -> dict:
     """A divisibility report's fields, its witness as the bare entry grid,
     then the verb's own keys."""
     witness = _entry_strings(report.witness) if report.witness is not None else None
-    return {**vars(report), "witness": witness, **extra}
+    return {**report._asdict(), "witness": witness, **extra}
 
 
 def _witness_holds(s: OrderedSet, witness: ExactMatrix) -> bool:
@@ -225,19 +224,19 @@ def _cmd_generate(args) -> tuple[dict, int]:
     if args.pattern == "pascal":
         if not args.n:
             raise Error("--pattern pascal needs --n")
-        s = generate.pascal_set(args.n, primes)
+        matrix = generate.pascal_matrix(args.n, primes)
     elif args.pattern == "vandermonde":
         if not args.bases:
             raise Error("--pattern vandermonde needs --bases")
         bases = _parse_int_list(args.bases, "--bases")
-        s = generate.vandermonde_set(bases, primes)
+        matrix = generate.vandermonde_matrix(bases, primes)
     else:
         if not args.n:
             raise Error("--pattern random needs --n")
         rng = generate.SplitMix64(args.seed)
         matrix = generate.random_monotone_exponents(rng, args.n, args.max_exp, args.max_primes)
-        s = setmodel.reconstruct(matrix)
-    return {"pattern": args.pattern, "elements": s, **_json(setmodel.pow_matrix(s))}, EXIT_OK
+    s = setmodel.reconstruct(matrix)
+    return {"pattern": args.pattern, "elements": s, **_json(matrix)}, EXIT_OK
 
 
 def _cmd_search(args) -> tuple[dict, int]:
@@ -265,10 +264,12 @@ def _json(value):
     Set elements, primes, matrix entries and fractions become decimal strings
     of any length; counts, indices and exponents stay numbers. A matrix is
     {"rows", "cols", "entries"}, an exponent matrix {"primes", "exponents"},
-    and a report dataclass its fields in order.
+    and a report named tuple its fields in order.
     """
     if isinstance(value, dict):
         return {key: _json(v) for key, v in value.items()}
+    if hasattr(value, "_asdict"):
+        return _json(value._asdict())
     if isinstance(value, (list, tuple)):
         return [_json(v) for v in value]
     if isinstance(value, Fraction):
@@ -279,8 +280,6 @@ def _json(value):
         return {"rows": value.rows, "cols": value.cols, "entries": _entry_strings(value)}
     if isinstance(value, ExponentMatrix):
         return {"primes": [str(p) for p in value.primes], "exponents": _json(value.exponents)}
-    if is_dataclass(value):
-        return _json(vars(value))
     return value
 
 

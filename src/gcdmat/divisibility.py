@@ -9,9 +9,8 @@ its transpose witnesses the left side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import numtheory
 from .errors import InvalidArgumentError, NotTnError
@@ -23,8 +22,7 @@ METHOD_ORACLE = "oracle"
 METHOD_CLOSED_FORM = "closed-form"
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Verdict on gcd-matrix | lcm-matrix with witness or counterexample.
 
     When divides is true, witness is the integer matrix C with

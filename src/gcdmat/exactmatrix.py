@@ -15,13 +15,12 @@ exhaustive minors run the same elimination on each submatrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
 from math import lcm as _lcm
 from math import prod
 from operator import mul, neg
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import numtheory
 from .errors import (
@@ -212,8 +211,7 @@ def determinant(m: ExactMatrix) -> Entry:
     return _ratio(pivots[-1], prod(mults))
 
 
-@dataclass(frozen=True)
-class MinorsReport:
+class MinorsReport(NamedTuple):
     """Result of exhaustive minor enumeration; truthiness is the verdict.
 
     On failure the witness holds the 1-based row and column index sets of the

@@ -83,16 +83,26 @@ def vandermonde_exponents(bases: Sequence[int]) -> list[list[int]]:
     return [[b**j for j in range(n)] for b in bases]
 
 
+def pascal_matrix(n: int, primes: Sequence[int] | None = None) -> ExponentMatrix:
+    """The symmetric Pascal matrix over primes (default: the first n)."""
+    primes = tuple(primes) if primes is not None else first_primes(n)
+    return ExponentMatrix(primes, pascal_exponents(n))
+
+
+def vandermonde_matrix(bases: Sequence[int], primes: Sequence[int] | None = None) -> ExponentMatrix:
+    """The Vandermonde matrix of bases over primes (default: the first len(bases))."""
+    primes = tuple(primes) if primes is not None else first_primes(len(bases))
+    return ExponentMatrix(primes, vandermonde_exponents(bases))
+
+
 def pascal_set(n: int, primes: Sequence[int] | None = None) -> OrderedSet:
     """Ordered set whose exponent matrix is the symmetric Pascal matrix."""
-    primes = tuple(primes) if primes is not None else first_primes(n)
-    return reconstruct(ExponentMatrix(primes, pascal_exponents(n)))
+    return reconstruct(pascal_matrix(n, primes))
 
 
 def vandermonde_set(bases: Sequence[int], primes: Sequence[int] | None = None) -> OrderedSet:
     """Ordered set whose exponent matrix is the Vandermonde matrix of bases."""
-    primes = tuple(primes) if primes is not None else first_primes(len(bases))
-    return reconstruct(ExponentMatrix(primes, vandermonde_exponents(bases)))
+    return reconstruct(vandermonde_matrix(bases, primes))
 
 
 _MAX_DRAW_ATTEMPTS = 10_000

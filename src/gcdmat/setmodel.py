@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import numtheory
 from .errors import InvalidArgumentError, InvalidSetError
@@ -191,8 +190,7 @@ class ExponentMatrix:
         return cls((_json_int(item, "primes") for item in doc["primes"]), rows)
 
 
-@dataclass(frozen=True)
-class ColumnMonotoneReport:
+class ColumnMonotoneReport(NamedTuple):
     """Per-column monotonicity verdict; truthiness is the overall answer.
 
     Directions are "up", "down", "constant", or "none" for a column that is

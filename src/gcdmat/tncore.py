@@ -55,10 +55,9 @@ triple, and its k is found by walking k >= j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InternalConsistencyError, InvalidArgumentError, NotTnError
 from .exactmatrix import ExactMatrix
@@ -68,8 +67,7 @@ METHOD_TRIPLE = "TripleIdentity"
 METHOD_MONOTONE = "ColumnMonotone"
 
 
-@dataclass(frozen=True)
-class TnVerdict:
+class TnVerdict(NamedTuple):
     """Outcome of a total-nonnegativity check.
 
     witness, present iff is_tn is false, is the first violating triple of
@@ -84,8 +82,7 @@ class TnVerdict:
         return self.is_tn
 
 
-@dataclass(frozen=True)
-class QuadrupleReport:
+class QuadrupleReport(NamedTuple):
     """Outcome of the four-index gcd identity sweep; truthiness is the verdict."""
 
     holds: bool
@@ -95,8 +92,7 @@ class QuadrupleReport:
         return self.holds
 
 
-@dataclass(frozen=True)
-class TridiagonalInverse:
+class TridiagonalInverse(NamedTuple):
     """Coefficients of the tridiagonal inverse of a TN gcd matrix.
 
     sub_super holds a_2..a_n (the shared sub/superdiagonal), diagonal holds
@@ -105,12 +101,6 @@ class TridiagonalInverse:
 
     sub_super: tuple[Fraction, ...]
     diagonal: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.sub_super) != len(self.diagonal) - 1:
-            raise InternalConsistencyError("coefficient vector lengths are inconsistent")
-        if any(a == 0 for a in self.sub_super):
-            raise InternalConsistencyError("superdiagonal coefficients must be nonzero")
 
     @property
     def n(self) -> int:
@@ -311,6 +301,10 @@ def tridiagonal_inverse(s: OrderedSet | Iterable[int]) -> TridiagonalInverse:
         factor = last[i - 1] * first[i + 1] - last[i + 1] * first[i - 1]
         b.append(-Fraction(factor, g1n) * a[i - 1] * a[i])
     b.append(-Fraction(first[n - 2], g1n) * a[n - 2])
+    if len(a) != len(b) - 1:
+        raise InternalConsistencyError("coefficient vector lengths are inconsistent")
+    if any(v == 0 for v in a):
+        raise InternalConsistencyError("superdiagonal coefficients must be nonzero")
     return TridiagonalInverse(tuple(a), tuple(b))
 
 

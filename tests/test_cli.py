@@ -1,14 +1,16 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gcdmat
-from gcdmat import cli
+from gcdmat import cli, divisibility, exactmatrix, setmodel, tncore
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix
 from gcdmat.generate import SplitMix64, random_monotone_set
 
@@ -349,7 +351,7 @@ def test_closed_stdout_exits_cleanly():
     argv = [sys.executable, "-m", "gcdmat.cli", "gcd-matrix", *map(str, range(1, 301)),
             "--format", "json"]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={"PYTHONPATH": src})
+                            env={**os.environ, "PYTHONPATH": src})
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -404,3 +406,68 @@ class TestFormatParity:
         _, json_out, _ = run(capsys, *argv, "--format", "json")
         rerendered = cli.render_text(json.loads(json_out))
         assert rerendered.strip() == text_out.strip()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """`import gcdmat.cli` in a fresh interpreter (environment inherited)
+    loads neither `dataclasses` nor `inspect`: both only add start-up time
+    to every CLI process."""
+    src = str(Path(gcdmat.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "import gcdmat.cli\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == []
+
+
+def _sample_reports():
+    """One report of each type, made by the library calls that return them."""
+    return [
+        (tncore.check_tn_triple([2, 3, 4]), ("is_tn", "method", "witness")),
+        (tncore.check_quadruple_identity([2, 6, 12]), ("holds", "violation")),
+        (tncore.tridiagonal_inverse([2, 6, 12]), ("sub_super", "diagonal")),
+        (setmodel.is_column_monotone(setmodel.pow_matrix([12, 6, 2])),
+         ("monotone", "directions")),
+        (divisibility.divide([1, 2, 3, 12]),
+         ("divides", "side", "witness", "violation", "method")),
+        (exactmatrix.all_minors_nonnegative(gcd_matrix([2, 3, 4])),
+         ("all_nonnegative", "witness_rows", "witness_cols", "witness_value")),
+    ]
+
+
+class TestReportTypes:
+    """The report types are immutable named tuples with their fields in a
+    fixed order; the CLI serializes each as a dict of those fields."""
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_fields_immutability_and_json(self, index):
+        report, fields = _sample_reports()[index]
+        assert tuple(report._asdict()) == fields
+        assert tuple(report) == tuple(getattr(report, f) for f in fields)
+        with pytest.raises(AttributeError):
+            setattr(report, fields[0], None)
+        with pytest.raises(AttributeError):
+            report.extra = None
+        doc = cli._json(report)
+        assert isinstance(doc, dict) and tuple(doc) == fields
+
+    def test_truthiness_is_the_verdict(self):
+        assert tncore.check_tn_triple([2, 6, 12]) and not tncore.check_tn_triple([2, 3, 4])
+        assert tncore.check_quadruple_identity([2, 6, 12])
+        assert setmodel.is_column_monotone(setmodel.pow_matrix([2, 6, 12]))
+        assert not setmodel.is_column_monotone(setmodel.pow_matrix([2, 3, 4]))
+        assert divisibility.divide([2, 6, 12]) and not divisibility.divide([1, 2, 3, 12])
+        assert exactmatrix.all_minors_nonnegative(gcd_matrix([2, 6, 12]))
+        assert not exactmatrix.all_minors_nonnegative(gcd_matrix([2, 3, 4]))
+
+    def test_keyword_construction(self):
+        report = divisibility.DivisibilityReport(False, violation=(1, 2, Fraction(1, 2)))
+        assert not report
+        assert report == (False, "Both", None, (1, 2, Fraction(1, 2)), "oracle")
+        assert cli._json(report) == {
+            "divides": False, "side": "Both", "witness": None,
+            "violation": [1, 2, "1/2"], "method": "oracle",
+        }

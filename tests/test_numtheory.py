@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import time
@@ -184,7 +185,8 @@ def test_readme_analyze_stays_in_the_small_sieve():
     )
     src = str(Path(gcdmat.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code, *elements], capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": src}).stdout
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
     assert int(out) == 2**12
 
 
