@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 from . import numtheory
 from .errors import InvalidArgumentError, NotTnError
-from .exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix, solve_right
+from .exactmatrix import ExactMatrix, gcd_matrix, integral_solve_right, lcm_matrix
 from .setmodel import OrderedSet, is_gcd_closed, power_set
 from .tncore import quotient_closed_form, single_pair_identities_hold
 
@@ -44,25 +44,19 @@ class DivisibilityReport(NamedTuple):
         return self.witness.transpose() if self.witness is not None else None
 
 
-def _report_from_quotient(quotient: ExactMatrix, method: str) -> DivisibilityReport:
-    for i, row in enumerate(quotient):
-        for j, entry in enumerate(row):
-            if entry.denominator != 1:
-                return DivisibilityReport(
-                    False, violation=(i + 1, j + 1, entry), method=method
-                )
-    return DivisibilityReport(True, witness=quotient, method=method)
-
-
 def divide_oracle(s: OrderedSet | Iterable[int]) -> DivisibilityReport:
     """Decide divisibility by solving C * gcd_matrix = lcm_matrix exactly.
 
     Works for any ordered set: the gcd matrix is positive definite, hence
-    invertible. divides is true iff every entry of C is an integer.
+    invertible. divides is true iff every entry of C is an integer. The rows
+    of C are solved in order on the gcd matrix's LU, and the solve stops
+    after the first row with a non-integral entry, which is the violation.
     """
     s = OrderedSet.coerce(s)
-    quotient = solve_right(gcd_matrix(s), lcm_matrix(s))
-    return _report_from_quotient(quotient, METHOD_ORACLE)
+    witness, violation = integral_solve_right(gcd_matrix(s), lcm_matrix(s))
+    if witness is None:
+        return DivisibilityReport(False, violation=violation)
+    return DivisibilityReport(True, witness=witness)
 
 
 def divide(s: OrderedSet | Iterable[int]) -> DivisibilityReport:

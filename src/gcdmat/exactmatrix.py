@@ -5,11 +5,14 @@ An integral entry is stored as an ``int`` and only a non-integral one as a
 exact and an integer matrix holds no ``Fraction`` at all; there is no
 floating point anywhere in this module.
 
-Determinants, positive definiteness and the solve read one fraction-free
+Determinants, positive definiteness and the solves read one fraction-free
 integer LU (Bareiss, keeping each step's multipliers and row swaps) of the
-matrix's transpose, made on first use and kept with the immutable matrix;
-the solve pushes each right-hand side through the recorded steps. The
-exhaustive minors run the same elimination on each submatrix.
+matrix's transpose, made on first use and kept with the immutable matrix.
+A solve replays the recorded swaps, elimination steps and back-substitution
+on one right-hand side at a time: solve_right returns every row of X, and
+integral_solve_right solves X one row at a time with solve_right and stops
+after the first row that holds a non-integral entry. The exhaustive minors
+run the same elimination on each submatrix.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from fractions import Fraction
 from math import gcd as _gcd
 from math import lcm as _lcm
 from math import prod
-from operator import mul, neg
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
-from . import numtheory
 from .errors import (
     DimensionMismatchError,
     NotSquareError,
@@ -145,20 +147,25 @@ def gcd_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
 def lcm_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = lcm(x_i, x_j)."""
     s = OrderedSet.coerce(s)
-    return ExactMatrix([[numtheory.lcm(a, b) for b in s] for a in s])
+    return ExactMatrix([[_lcm(a, b) for b in s] for a in s])
+
+
+def _integer_row(row: Iterable[Entry]) -> tuple[list[int], int]:
+    """A row cleared of denominators and the positive multiplier that did
+    it: 1, with no lcm taken, when every entry is already an int."""
+    row = list(row)
+    if Fraction not in map(type, row):
+        return row, 1
+    mult = _lcm(*[e.denominator for e in row])
+    return [e.numerator * (mult // e.denominator) for e in row], mult
 
 
 def _integer_rows(rows: Iterable[Iterable[Entry]]) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row; returns the integer rows and the
     positive multiplier of each row, so det(rows) = det(int rows) / prod(mults)
     and each leading principal minor keeps its sign."""
-    int_rows, mults = [], []
-    for row in rows:
-        row = list(row)
-        mult = _lcm(*[e.denominator for e in row])
-        int_rows.append(row if mult == 1 else [e.numerator * (mult // e.denominator) for e in row])
-        mults.append(mult)
-    return int_rows, mults
+    cleared = [_integer_row(row) for row in rows]
+    return [row for row, _ in cleared], [mult for _, mult in cleared]
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:
@@ -254,47 +261,71 @@ def all_minors_nonnegative(m: ExactMatrix, size_cap: int = DEFAULT_MINOR_CAP) ->
     return MinorsReport(True)
 
 
+def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> list[Entry]:
+    """x with x * a = b_row, from the LU of a's transpose.
+
+    b_row, scaled by a's row multipliers and cleared to integers (its factor
+    c), is the right-hand side of a^T x = b_row. It replays the LU's swaps
+    (a swap moves and negates a row's stored multipliers with it, so every
+    swap comes before the first step), then each elimination step with the
+    multiplier stored below the diagonal. Fraction-free back-substitution
+    gives y = d * c * x, with d the last pivot."""
+    rows, pivots, swaps, mults = lu
+    rhs, c = _integer_row(map(mul, b_row, mults))
+    for k, s in swaps:
+        rhs[k], rhs[s] = -rhs[s], rhs[k]
+    n = len(rows)
+    prev = 1
+    for k, pivot in enumerate(pivots[:-1]):
+        w = rhs[k]
+        for i in range(k + 1, n):
+            rhs[i] = (rhs[i] * pivot - rows[i][k] * w) // prev
+        prev = pivot
+    d = pivots[-1]
+    y = []  # d * c * x from its last entry back
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        y.append((d * rhs[i] - sum(map(mul, row[:i:-1], y))) // row[i])
+    dc = d * c
+    return [_ratio(v, dc) for v in reversed(y)]
+
+
 def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Solve X * a = b exactly for X (a square and nonsingular).
 
-    Row r of X solves a^T x = b[r]. Every right-hand side, scaled by a's row
-    multipliers and cleared to integers (its factor c), goes at once through
-    the swaps and elimination steps recorded in a's cached LU; fraction-free
-    back-substitution then gives y = d * c * x, with d the last pivot."""
+    Row r of X solves a^T x = b[r]: each row of b is replayed on its own
+    through a's cached LU (see _solve_row), so X is the list of those rows."""
     if not a.is_square():
         raise DimensionMismatchError(f"coefficient matrix must be square, got {a.rows}x{a.cols}")
     if b.cols != a.rows:
         raise DimensionMismatchError(
             f"cannot solve X*a=b with a {a.rows}x{a.cols} and b {b.rows}x{b.cols}"
         )
-    n = a.rows
-    rows, pivots, swaps, mults = a._factorization()
-    d = pivots[-1]
-    if d == 0:
-        raise SingularMatrixError(f"matrix is singular (rank below {n})")
-    rhs_rows, rhs_mults = _integer_rows(map(mul, row, mults) for row in b)
-    # equation i of every system at once: rhs[i][r] belongs to b[r]
-    rhs = list(map(list, zip(*rhs_rows)))
-    # A swap moves (and negates) a row's stored multipliers with it, so every
-    # swap can be replayed before the first elimination step.
-    for k, s in swaps:
-        rhs[k], rhs[s] = list(map(neg, rhs[s])), rhs[k]
-    prev = 1
-    for k, pivot in enumerate(pivots):
-        rhs_k = rhs[k]
-        for i in range(k + 1, n):
-            head = rows[i][k]
-            rhs[i] = [(v * pivot - head * w) // prev for v, w in zip(rhs[i], rhs_k)]
-        prev = pivot
+    lu = a._factorization()
+    if lu[1][-1] == 0:
+        raise SingularMatrixError(f"matrix is singular (rank below {a.rows})")
+    return ExactMatrix([_solve_row(lu, row) for row in b])
+
+
+def integral_solve_right(
+    a: ExactMatrix, b: ExactMatrix
+) -> tuple[ExactMatrix | None, tuple[int, int, Fraction] | None]:
+    """Solve X * a = b as solve_right does, stopping at the first
+    non-integral entry of X.
+
+    Returns (X, None) when every entry of X is an integer. Otherwise returns
+    (None, (i, j, value)) for the first non-integral entry in row-major
+    order, with 1-based indices. Each row of X comes from its own
+    solve_right call, so a per-function profile counts the solve under
+    solve_right, and rows after row i are never solved."""
     solution = []
-    for r, c in zip(zip(*rhs), rhs_mults):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            y[i] = (d * r[i] - sum(map(mul, row[i + 1:], y[i + 1:]))) // row[i]
-        dc = d * c
-        solution.append([_ratio(v, dc) for v in y])
-    return ExactMatrix(solution)
+    for i, row in enumerate(b, 1):
+        x = solve_right(a, ExactMatrix([row]))[0]
+        for j, entry in enumerate(x, 1):
+            if type(entry) is not int:
+                return None, (i, j, entry)
+        solution.append(x)
+    return ExactMatrix(solution), None
 
 
 def is_positive_definite(m: ExactMatrix) -> bool:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check:
 determinants by cofactor expansion, monotone orders by full permutation
 enumeration, factorizations by plain trial division, totients by counting,
-and the classical determinant product formulas evaluated directly from
+the lcm-matrix quotient by Gauss-Jordan elimination over Fractions, and
+the classical determinant product formulas evaluated directly from
 their definitions.
 """
 
@@ -106,6 +107,39 @@ def first_negative_minor(rows):
                 det = cofactor_determinant([[rows[i][j] for j in cc] for i in rr])
                 if det < 0:
                     return tuple(i + 1 for i in rr), tuple(j + 1 for j in cc), det
+    return None
+
+
+def rational_quotient(elements) -> list[list[Fraction]]:
+    """C with C * G = L for the gcd and lcm matrices of the elements, by
+    Gauss-Jordan elimination over Fractions on [G^T | L^T]: C^T = G^-T L^T
+    ends in the right half."""
+    x = list(elements)
+    n = len(x)
+    aug = [
+        [Fraction(gcd(x[j], x[i])) for j in range(n)]
+        + [Fraction(x[r] * x[i] // gcd(x[r], x[i])) for r in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [v / lead for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [[aug[i][n + r] for i in range(n)] for r in range(n)]
+
+
+def first_non_integral(rows):
+    """First entry with a denominator above 1, in row-major order, as 1-based
+    (row, col, value); None when every entry is integral."""
+    for i, row in enumerate(rows, 1):
+        for j, e in enumerate(row, 1):
+            if e.denominator != 1:
+                return i, j, e
     return None
 
 

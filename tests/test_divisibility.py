@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from gcdmat import exactmatrix
 from gcdmat.cli import _divisibility, _json
 from gcdmat.divisibility import (
     DivisibilityReport,
@@ -18,7 +19,15 @@ from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import OrderedSet, is_gcd_closed, reconstruct
 from gcdmat.tncore import check_tn_triple, quotient_closed_form, single_pair_identities_hold
 
-from oracles import divisor_closure, random_distinct_set, random_tree_set, shuffled
+from oracles import (
+    divisor_closure,
+    first_non_integral,
+    perturbed_exponents,
+    random_distinct_set,
+    random_tree_set,
+    rational_quotient,
+    shuffled,
+)
 
 SIX_ELEMENT = [330812181, 551353635, 7501410, 2976750, 5512500000, 18750000000]
 
@@ -79,6 +88,58 @@ class TestDivideOracle:
         assert doc["divides"] is True
         assert doc["witness"] == [["0", "0", "1"], ["3", "-1", "1"], ["6", "0", "0"]]
         assert doc["violation"] is None
+
+
+class TestRowByRowOracle:
+    """divide_oracle solves the quotient's rows in order and stops after the
+    first row with a non-integral entry."""
+
+    @staticmethod
+    def families():
+        rng = SplitMix64(46)
+        for _ in range(120):
+            yield random_distinct_set(rng, rng.randint(1, 12), 400)
+        for n in (3, 4, 5):
+            yield from list(_gcd_closed_candidates(n, 300))[::7]
+        for _ in range(60):
+            grid = random_monotone_exponents(rng, rng.randint(3, 8), max_exp=4)
+            yield reconstruct(perturbed_exponents(rng, grid, max_exp=4))
+
+    def test_matches_rational_quotient(self):
+        later_rows = non_tn_divisors = 0
+        for s in self.families():
+            report = divide_oracle(s)
+            quotient = rational_quotient(s)
+            violation = first_non_integral(quotient)
+            assert report.violation == violation, s
+            assert report.divides == (violation is None), s
+            if report.divides:
+                assert report.witness == ExactMatrix(quotient), s
+                non_tn_divisors += not single_pair_identities_hold(s)
+            else:
+                assert report.witness is None
+                later_rows += violation[0] >= 2
+        # both the early exit past row 1 and the full solve of a non-TN set ran
+        assert later_rows > 20 and non_tn_divisors > 20, (later_rows, non_tn_divisors)
+
+    def test_stops_after_the_violating_row(self, monkeypatch):
+        solved = []
+        solve_row = exactmatrix._solve_row
+
+        def counted(lu, b_row):
+            solved.append(b_row)
+            return solve_row(lu, b_row)
+
+        monkeypatch.setattr(exactmatrix, "_solve_row", counted)
+        assert divide_oracle([1, 2, 3, 12]).violation[0] == 2
+        assert len(solved) == 2
+        solved.clear()
+        s = random_distinct_set(SplitMix64(1), 30, 1000)
+        assert divide_oracle(s).violation[0] == 1
+        assert len(solved) == 1
+        solved.clear()
+        assert divide_oracle([2, 6, 12]).divides
+        assert len(solved) == 3
 
 
 class TestDivideViaClosedForm:

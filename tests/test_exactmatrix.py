@@ -16,6 +16,7 @@ from gcdmat.exactmatrix import (
     all_minors_nonnegative,
     determinant,
     gcd_matrix,
+    integral_solve_right,
     is_positive_definite,
     lcm_matrix,
     solve_right,
@@ -28,6 +29,7 @@ from oracles import (
     divisor_closure,
     gcd_closure,
     filtered_totient_product,
+    first_non_integral,
     random_distinct_set,
     totient_product,
 )
@@ -239,12 +241,40 @@ class TestSolveRight:
         assert solved >= 50
 
     def test_errors(self):
-        with pytest.raises(SingularMatrixError):
-            solve_right(ExactMatrix([[1, 2], [2, 4]]), ExactMatrix.identity(2))
-        with pytest.raises(DimensionMismatchError):
-            solve_right(ExactMatrix([[1, 2]]), ExactMatrix.identity(2))
-        with pytest.raises(DimensionMismatchError):
-            solve_right(ExactMatrix.identity(2), ExactMatrix([[1, 2, 3]]))
+        for solve in (solve_right, integral_solve_right):
+            with pytest.raises(SingularMatrixError):
+                solve(ExactMatrix([[1, 2], [2, 4]]), ExactMatrix.identity(2))
+            with pytest.raises(DimensionMismatchError):
+                solve(ExactMatrix([[1, 2]]), ExactMatrix.identity(2))
+            with pytest.raises(DimensionMismatchError):
+                solve(ExactMatrix.identity(2), ExactMatrix([[1, 2, 3]]))
+
+
+class TestIntegralSolveRight:
+    # rational and not symmetric; a[0][0] = 0, so the LU of a's transpose swaps rows
+    A = [[0, Fraction(1, 2), 3], [Fraction(2, 3), 5, -1], [4, Fraction(1, 7), 2]]
+
+    def test_rational_coefficients_with_a_row_swap(self):
+        a = ExactMatrix(self.A)
+        assert a._factorization()[2]  # the recorded swaps
+        integral = ExactMatrix([[1, -2, 0], [3, 0, 5], [-4, 7, 1]])
+        assert integral_solve_right(a, integral * a) == (integral, None)
+        b = ExactMatrix([[1, 0, 2], [0, Fraction(1, 3), 0], [5, 1, 1]])
+        violation = first_non_integral(solve_right(a, b))
+        assert violation is not None
+        assert integral_solve_right(a, b) == (None, violation)
+
+    def test_matches_solve_right_on_random_systems(self):
+        rng = SplitMix64(17)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            a = gcd_matrix(random_distinct_set(rng, n, 300))
+            b = ExactMatrix(
+                [[rng.randint(-30, 30) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            )
+            x = solve_right(a, b)
+            violation = first_non_integral(x)
+            assert integral_solve_right(a, b) == ((None, violation) if violation else (x, None))
 
 
 class TestCachedFactorization:
