@@ -8,6 +8,8 @@ floating point anywhere in this module.
 Determinants, positive definiteness and the solves read one fraction-free
 integer LU (Bareiss, keeping each step's multipliers and row swaps) of the
 matrix's transpose, made on first use and kept with the immutable matrix.
+A symmetric matrix, such as every gcd matrix, is eliminated on and above
+the diagonal only, which halves the work and leaves the same LU.
 A solve replays the recorded swaps, elimination steps and back-substitution
 on one right-hand side at a time: solve_right returns every row of X, and
 integral_solve_right solves X one row at a time with solve_right and stops
@@ -116,11 +118,7 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self._entries[i][j] == self._entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.is_square() and self._entries == tuple(zip(*self._entries))
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self._entries for e in row)
@@ -131,10 +129,20 @@ class ExactMatrix:
         return ExactMatrix([[self._entries[i][j] for j in cols] for i in row_idx])
 
     def _factorization(self) -> _Factorization:
-        """The LU of this square matrix's transpose, made once and kept."""
+        """The LU of this square matrix's transpose, made once and kept.
+
+        Symmetry is read from the cleared integer rows, not from the
+        entries: rows of a symmetric matrix cleared by different
+        multipliers are no longer symmetric. When no row was scaled the
+        cleared rows are the columns, and their transpose is the entries."""
         if self._lu is None:
-            rows, mults = _integer_rows(zip(*self._entries))
-            self._lu = (rows, *_bareiss(rows), mults)
+            cols = tuple(zip(*self._entries))
+            rows, mults = _integer_rows(cols)
+            if mults.count(1) == len(mults):
+                symmetric = cols == self._entries
+            else:
+                symmetric = rows == list(map(list, zip(*rows)))
+            self._lu = (rows, *_bareiss(rows, symmetric), mults)
         return self._lu
 
 
@@ -168,7 +176,9 @@ def _integer_rows(rows: Iterable[Iterable[Entry]]) -> tuple[list[list[int]], lis
     return [row for row, _ in cleared], [mult for _, mult in cleared]
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:
+def _bareiss(
+    rows: list[list[int]], symmetric: bool = False
+) -> tuple[list[int], list[tuple[int, int]]]:
     """Fraction-free (Bareiss) LU of n square integer rows, in place.
 
     On and above the diagonal the rows end as the fraction-free U; entry
@@ -177,11 +187,28 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:
     incoming row, multipliers included, so the last pivot is the
     determinant; with no swap pivot k is the leading (k+1)x(k+1) minor. A
     column left without a nonzero entry ends the pass with a final pivot
-    of 0."""
+    of 0.
+
+    symmetric says the rows are a symmetric matrix A; the result is the
+    same either way. By Sylvester's identity, until a row swap entry (i, j)
+    of the trailing block after step k is the bordered minor
+    det A[{0..k, i}, {0..k, j}]. For a symmetric A that submatrix is the
+    transpose of A[{0..k, j}, {0..k, i}], so the two minors, entries (i, j)
+    and (j, i), are equal and the trailing block stays symmetric. So step k
+    updates each row i > k only from column i on, and reads the row's
+    multiplier, its entry (i, k) in the general pass, from the pivot row's
+    entry (k, i) instead; it stores it at (i, k), where the general pass
+    leaves it. Entries left of the diagonal in the trailing block go stale.
+    At the first zero pivot, before any swap, they are mirrored from above
+    the diagonal and the pass goes on as the general one."""
     n = len(rows)
     pivots, swaps, prev = [], [], 1
     for k in range(n):
         if rows[k][k] == 0:
+            if symmetric:
+                for i in range(k + 1, n):
+                    rows[i][k:i] = [r[i] for r in rows[k:i]]
+                symmetric = False
             swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
             if swap is None:
                 pivots.append(0)
@@ -189,12 +216,18 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:
             rows[k], rows[swap] = [-e for e in rows[swap]], rows[k]
             swaps.append((k, swap))
         row_k, pivot = rows[k], rows[k][k]
-        tail_k = row_k[k + 1:]
-        for row_i in rows[k + 1:]:
-            head = row_i[k]
-            row_i[k + 1:] = [
-                (a * pivot - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)
-            ]
+        if symmetric:
+            for i in range(k + 1, n):
+                row_i = rows[i]
+                row_i[k] = head = row_k[i]
+                row_i[i:] = [(a * pivot - head * b) // prev for a, b in zip(row_i[i:], row_k[i:])]
+        else:
+            tail_k = row_k[k + 1:]
+            for row_i in rows[k + 1:]:
+                head = row_i[k]
+                row_i[k + 1:] = [
+                    (a * pivot - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)
+                ]
         pivots.append(pivot)
         prev = pivot
     return pivots, swaps

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 determinants by cofactor expansion, monotone orders by full permutation
 enumeration, factorizations by plain trial division, totients by counting,
-the lcm-matrix quotient by Gauss-Jordan elimination over Fractions, and
-the classical determinant product formulas evaluated directly from
+the lcm-matrix quotient by Gauss-Jordan elimination over Fractions, the
+fraction-free LU by the general Bareiss pass over the whole trailing block,
+and the classical determinant product formulas evaluated directly from
 their definitions.
 """
 
@@ -108,6 +109,38 @@ def first_negative_minor(rows):
                 if det < 0:
                     return tuple(i + 1 for i in rr), tuple(j + 1 for j in cc), det
     return None
+
+
+def fraction_free_lu(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Fraction-free (Bareiss) LU of n square integer rows, in place.
+
+    On and above the diagonal the rows end as the fraction-free U; entry
+    (i, k) below it keeps the multiplier row i had at step k. Returns the
+    pivots and the row swaps (k, s) in the order made. A swap negates the
+    incoming row, multipliers included, so the last pivot is the
+    determinant; with no swap pivot k is the leading (k+1)x(k+1) minor. A
+    column left without a nonzero entry ends the pass with a final pivot
+    of 0."""
+    n = len(rows)
+    pivots, swaps, prev = [], [], 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if swap is None:
+                pivots.append(0)
+                return pivots, swaps
+            rows[k], rows[swap] = [-e for e in rows[swap]], rows[k]
+            swaps.append((k, swap))
+        row_k, pivot = rows[k], rows[k][k]
+        tail_k = row_k[k + 1:]
+        for row_i in rows[k + 1:]:
+            head = row_i[k]
+            row_i[k + 1:] = [
+                (a * pivot - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)
+            ]
+        pivots.append(pivot)
+        prev = pivot
+    return pivots, swaps
 
 
 def rational_quotient(elements) -> list[list[Fraction]]:

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gcdmat import exactmatrix
 from gcdmat.cli import _json, render_text
@@ -30,6 +32,7 @@ from oracles import (
     gcd_closure,
     filtered_totient_product,
     first_non_integral,
+    fraction_free_lu,
     random_distinct_set,
     totient_product,
 )
@@ -67,6 +70,12 @@ class TestExactMatrix:
         assert a * ExactMatrix([[0, 1], [1, 0]]) == ExactMatrix([[2, 1], [4, 3]])
         with pytest.raises(DimensionMismatchError):
             a * ExactMatrix([[1, 2, 3]])
+
+    def test_is_symmetric(self):
+        assert ExactMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 3]]).is_symmetric()
+        assert not ExactMatrix([[1, 2], [3, 4]]).is_symmetric()
+        for shape in ([[1, 2, 3]], [[1], [1]], [[1, 2, 3], [2, 1, 4]]):
+            assert not ExactMatrix(shape).is_symmetric()
 
     def test_json_round_trip(self):
         m = ExactMatrix([[2, Fraction(-1, 4)], [0, 7]])
@@ -321,6 +330,130 @@ class TestCachedFactorization:
                 solve_right(m, ExactMatrix.identity(3))
             assert determinant(m) == 0
             assert not is_positive_definite(m)
+
+
+def cleared_transpose(entries):
+    """The rows of a matrix's transpose cleared of denominators, and the
+    multiplier of each."""
+    rows, mults = [], []
+    for col in zip(*entries):
+        mult = lcm(*[Fraction(e).denominator for e in col])
+        rows.append([int(e * mult) for e in col])
+        mults.append(mult)
+    return rows, mults
+
+
+def general_lu(entries):
+    """The cached LU the general Bareiss pass makes of a square matrix."""
+    rows, mults = cleared_transpose(entries)
+    return (rows, *fraction_free_lu(rows), mults)
+
+
+def symmetric_rows(rng, n, lo, hi):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(lo, hi)
+    return rows
+
+
+class TestSymmetricElimination:
+    """A symmetric matrix is eliminated on and above the diagonal only; its
+    cached LU must equal the general pass's, entry for entry."""
+
+    @staticmethod
+    def families(rng):
+        for _ in range(1500):
+            n = rng.randint(1, 7)
+            yield symmetric_rows(rng, n, -3, 3)
+            zeroed = symmetric_rows(rng, n, -3, 3)
+            for i in range(n):
+                if rng.randint(0, 2) == 0:
+                    zeroed[i][i] = 0
+            yield zeroed
+            yield [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for _ in range(300):
+            yield gcd_matrix(random_distinct_set(rng, rng.randint(1, 30), 10**6)).entries
+            n = rng.randint(2, 6)
+            yield [
+                [Fraction(e, rng.randint(1, 4)) for e in row]
+                for row in symmetric_rows(rng, n, -9, 9)
+            ]
+        yield [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]]
+
+    def test_matches_the_general_pass(self):
+        seen = {"matrices": 0, "symmetric": 0, "switched": 0, "swaps": 0, "zero_column": 0}
+        for entries in self.families(SplitMix64(19)):
+            rows, mults = cleared_transpose(entries)
+            symmetric = rows == [list(col) for col in zip(*rows)]
+            pivots, swaps = fraction_free_lu(rows)
+            assert ExactMatrix(entries)._factorization() == (rows, pivots, swaps, mults), entries
+            zero_column = len(pivots) < len(entries)
+            seen["matrices"] += 1
+            seen["symmetric"] += symmetric
+            seen["switched"] += symmetric and (bool(swaps) or zero_column)
+            seen["swaps"] += bool(swaps)
+            seen["zero_column"] += zero_column
+        assert seen["matrices"] >= 5000
+        assert seen["symmetric"] >= 2500 and seen["switched"] >= 500, seen
+        assert seen["swaps"] >= 500 and seen["zero_column"] >= 20, seen
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+        st.booleans(),
+        st.integers(1, 3),
+    )
+    def test_matches_the_general_pass_property(self, grid, mirror, denominator):
+        n = len(grid)
+        rows = [
+            [Fraction(grid[min(i, j)][max(i, j)] if mirror else grid[i][j], denominator)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        assert ExactMatrix(rows)._factorization() == general_lu(rows)
+
+
+class TestSymmetricRouting:
+    """_factorization passes symmetric=True exactly when the cleared rows of
+    the transpose are symmetric; the exhaustive minors never do."""
+
+    @staticmethod
+    def recorded(monkeypatch, run):
+        seen = []
+        bareiss = exactmatrix._bareiss
+
+        def recorder(rows, symmetric=False):
+            seen.append(symmetric)
+            return bareiss(rows, symmetric)
+
+        monkeypatch.setattr(exactmatrix, "_bareiss", recorder)
+        run()
+        return seen
+
+    @pytest.mark.parametrize(
+        "rows, symmetric",
+        [
+            (gcd_matrix(random_distinct_set(SplitMix64(20), 12, 10**6)).entries, True),
+            # singular: the zero pivot at step 1 switches to the general pass
+            ([[1, 2, 3], [2, 4, 6], [3, 6, 10]], True),
+            # symmetric, but its cleared columns are [3, 2] and [1, 3]
+            ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], False),
+            # not symmetric, but its cleared columns are [1, 1] and [1, 2]
+            ([[1, Fraction(1, 2)], [1, 1]], True),
+            ([[1, 2], [3, 4]], False),
+        ],
+    )
+    def test_factorization(self, monkeypatch, rows, symmetric):
+        assert self.recorded(monkeypatch, lambda: determinant(ExactMatrix(rows))) == [symmetric]
+
+    def test_exhaustive_minors_use_the_general_pass(self, monkeypatch):
+        m = gcd_matrix([2, 6, 12, 36])
+        seen = self.recorded(monkeypatch, lambda: all_minors_nonnegative(m))
+        assert seen == [False] * 69  # sum of C(4, k)^2 for k = 1..4
 
 
 class TestPositiveDefinite:
