@@ -1,9 +1,11 @@
 """Exact arithmetic for gcd/lcm matrices of ordered integer sets.
 
-Builds gcd and lcm matrices, decides total nonnegativity four independent
-ways, evaluates the closed-form tridiagonal inverse and the closed-form
-integer quotient of the lcm matrix by the gcd matrix, and settles matrix
-divisibility questions against an exact linear-solve oracle.
+Builds gcd and lcm matrices, decides total nonnegativity three ways (the
+O(n) single-pair identities, the O(n^2) triple scan that names a witness,
+and Neville elimination of the gcd matrix), evaluates the closed-form
+tridiagonal inverse and the closed-form integer quotient of the lcm matrix
+by the gcd matrix, and settles matrix divisibility questions against an
+exact linear-solve oracle.
 """
 
 from .divisibility import (
@@ -15,15 +17,14 @@ from .divisibility import (
 )
 from .exactmatrix import (
     ExactMatrix,
-    MinorsReport,
-    all_minors_nonnegative,
     determinant,
     gcd_matrix,
     is_positive_definite,
+    is_totally_nonnegative,
     lcm_matrix,
     solve_right,
 )
-from .numtheory import factorize, gcd, is_prime, lcm, totient
+from .numtheory import factorize, is_prime
 from .setmodel import (
     ColumnMonotoneReport,
     ExponentMatrix,
@@ -39,13 +40,9 @@ from .setmodel import (
     reconstruct,
 )
 from .tncore import (
-    QuadrupleReport,
     TnVerdict,
     TridiagonalInverse,
-    check_quadruple_identity,
-    check_tn_monotone,
     check_tn_triple,
-    lcm_from_gcds,
     quotient_closed_form,
     single_pair_identities_hold,
     tridiagonal_inverse,
@@ -56,14 +53,9 @@ __all__ = [
     "DivisibilityReport",
     "ExactMatrix",
     "ExponentMatrix",
-    "MinorsReport",
     "OrderedSet",
-    "QuadrupleReport",
     "TnVerdict",
     "TridiagonalInverse",
-    "all_minors_nonnegative",
-    "check_quadruple_identity",
-    "check_tn_monotone",
     "check_tn_triple",
     "classify_coprime_divisor_chains",
     "determinant",
@@ -72,7 +64,6 @@ __all__ = [
     "divide_power",
     "factorize",
     "find_monotone_order",
-    "gcd",
     "gcd_matrix",
     "greatest_type_divisors",
     "is_column_monotone",
@@ -80,8 +71,7 @@ __all__ = [
     "is_gcd_closed",
     "is_positive_definite",
     "is_prime",
-    "lcm",
-    "lcm_from_gcds",
+    "is_totally_nonnegative",
     "lcm_matrix",
     "pow_matrix",
     "power_set",
@@ -90,7 +80,6 @@ __all__ = [
     "search_gcd_closed_nondivisor",
     "single_pair_identities_hold",
     "solve_right",
-    "totient",
     "tridiagonal_inverse",
 ]
 

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from . import divisibility, exactmatrix, generate, setmodel, tncore
-from .errors import Error, NotTnError, TooLargeForExhaustiveMinorsError
+from .errors import Error, NotTnError
 from .exactmatrix import ExactMatrix
 from .setmodel import ExponentMatrix, OrderedSet
 
@@ -107,13 +107,11 @@ def _load_set(args) -> OrderedSet:
 def _cmd_analyze(args) -> tuple[dict, int]:
     s = _load_set(args)
     chains = setmodel.classify_coprime_divisor_chains(s)
-    monotone = setmodel.is_column_monotone(setmodel.pow_matrix(s))
+    exponents = setmodel.pow_matrix(s)
+    monotone = setmodel.is_column_monotone(exponents)
     verdict = tncore.check_tn_triple(s)
-    try:
-        minors_ok = exactmatrix.all_minors_nonnegative(exactmatrix.gcd_matrix(s)).all_nonnegative
-    except TooLargeForExhaustiveMinorsError:
-        minors_ok = None
-    order = setmodel.find_monotone_order(s)
+    minors_ok = exactmatrix.is_totally_nonnegative(exactmatrix.gcd_matrix(s))
+    order = setmodel._monotone_order(exponents.exponents)
     report = {
         "elements": s,
         "n": len(s),

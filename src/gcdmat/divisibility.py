@@ -40,9 +40,6 @@ class DivisibilityReport(NamedTuple):
     def __bool__(self) -> bool:
         return self.divides
 
-    def left_witness(self) -> ExactMatrix | None:
-        return self.witness.transpose() if self.witness is not None else None
-
 
 def divide_oracle(s: OrderedSet | Iterable[int]) -> DivisibilityReport:
     """Decide divisibility by solving C * gcd_matrix = lcm_matrix exactly.

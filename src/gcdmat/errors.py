@@ -33,10 +33,6 @@ class NotSymmetricError(Error):
     """A symmetric matrix is required."""
 
 
-class TooLargeForExhaustiveMinorsError(Error):
-    """Matrix order exceeds the cap for exhaustive minor enumeration."""
-
-
 class NotTnError(Error):
     """The gcd matrix is not totally nonnegative, so the closed form does not apply."""
 

@@ -13,30 +13,30 @@ the diagonal only, which halves the work and leaves the same LU.
 A solve replays the recorded swaps, elimination steps and back-substitution
 on one right-hand side at a time: solve_right returns every row of X, and
 integral_solve_right solves X one row at a time with solve_right and stops
-after the first row that holds a non-integral entry. The exhaustive minors
-run the same elimination on each submatrix.
+after the first row that holds a non-integral entry.
+
+Total nonnegativity of a symmetric nonsingular matrix is decided by
+fraction-free Neville elimination (is_totally_nonnegative), in one
+polynomial pass with no enumeration of minors; the exhaustive minors are a
+test oracle, not shipped.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd as _gcd
 from math import lcm as _lcm
 from math import prod
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import (
     DimensionMismatchError,
     NotSquareError,
     NotSymmetricError,
     SingularMatrixError,
-    TooLargeForExhaustiveMinorsError,
 )
 from .setmodel import OrderedSet
-
-DEFAULT_MINOR_CAP = 8
 
 Entry = int | Fraction
 
@@ -122,11 +122,6 @@ class ExactMatrix:
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self._entries for e in row)
-
-    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "ExactMatrix":
-        """Submatrix from 0-based row and column index lists."""
-        cols = tuple(col_idx)
-        return ExactMatrix([[self._entries[i][j] for j in cols] for i in row_idx])
 
     def _factorization(self) -> _Factorization:
         """The LU of this square matrix's transpose, made once and kept.
@@ -251,49 +246,6 @@ def determinant(m: ExactMatrix) -> Entry:
     return _ratio(pivots[-1], prod(mults))
 
 
-class MinorsReport(NamedTuple):
-    """Result of exhaustive minor enumeration; truthiness is the verdict.
-
-    On failure the witness holds the 1-based row and column index sets of the
-    first negative minor (smallest size first, then lexicographic) and its
-    determinant value.
-    """
-
-    all_nonnegative: bool
-    witness_rows: tuple[int, ...] | None = None
-    witness_cols: tuple[int, ...] | None = None
-    witness_value: Entry | None = None
-
-    def __bool__(self) -> bool:
-        return self.all_nonnegative
-
-
-def all_minors_nonnegative(m: ExactMatrix, size_cap: int = DEFAULT_MINOR_CAP) -> MinorsReport:
-    """Check every square submatrix determinant for nonnegativity.
-
-    Exponential in the matrix order, so orders above size_cap are refused;
-    this is an oracle, not a production path.
-    """
-    if not m.is_square():
-        raise NotSquareError(f"minor check needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n > size_cap:
-        raise TooLargeForExhaustiveMinorsError(
-            f"order {n} exceeds the exhaustive-minor cap {size_cap}"
-        )
-    int_rows, _ = _integer_rows(m)
-    # every multiplier is positive, so each integer minor has the rational one's sign
-    for size in range(1, n + 1):
-        for rows in itertools.combinations(range(n), size):
-            for cols in itertools.combinations(range(n), size):
-                sub = [[int_rows[i][j] for j in cols] for i in rows]
-                if _bareiss(sub)[0][-1] < 0:
-                    value = determinant(m.submatrix(rows, cols))
-                    witness = tuple(i + 1 for i in rows), tuple(j + 1 for j in cols)
-                    return MinorsReport(False, *witness, value)
-    return MinorsReport(True)
-
-
 def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> list[Entry]:
     """x with x * a = b_row, from the LU of a's transpose.
 
@@ -371,3 +323,45 @@ def is_positive_definite(m: ExactMatrix) -> bool:
         raise NotSymmetricError("positive definiteness is only checked for symmetric matrices")
     _, pivots, swaps, _ = m._factorization()
     return not swaps and all(p > 0 for p in pivots)
+
+
+def is_totally_nonnegative(m: ExactMatrix) -> bool:
+    """Whether every minor of a symmetric nonsingular matrix is >= 0, such as
+    every gcd matrix (all are positive definite). A singular matrix reads
+    False.
+
+    Neville elimination (Gasca & Peña, *Total positivity and Neville
+    elimination*, LAA 165, 1992) clears column k bottom-up, each row by the
+    one above it. A nonsingular A is TN iff the elimination of A and of A^T
+    needs no row exchange and no negative multiplier, and every diagonal
+    pivot is positive; A is its own transpose, so one pass decides. Here it
+    runs fraction-free on the cleared integer rows (positive row scalings,
+    which change no sign the test reads): row i becomes p*row_i - q*row_{i-1}
+    with p > 0, divided by its content. A zero entry is skipped; a zero
+    above a nonzero entry would need a row exchange. A negative entry is a
+    negative pivot, which the theorem rules out for a TN matrix (each pivot
+    is the previous one times a nonnegative multiplier, starting from a
+    positive diagonal pivot), so entries of opposite sign, the negative
+    multipliers, are caught with it. On a TN gcd matrix, a Green's matrix,
+    the first column's step leaves the rest upper triangular, so later steps
+    only skip zeros."""
+    if not m.is_square():
+        raise NotSquareError(f"total nonnegativity needs a square matrix, got {m.rows}x{m.cols}")
+    if not m.is_symmetric():
+        raise NotSymmetricError("total nonnegativity is only decided for symmetric matrices")
+    rows, _ = _integer_rows(m)
+    n = len(rows)
+    for k in range(n):
+        for i in range(n - 1, k, -1):
+            row, above = rows[i], rows[i - 1]
+            q, p = row[k], above[k]
+            if q == 0:
+                continue
+            if p <= 0 or q < 0:
+                return False
+            new = [p * a - q * b for a, b in zip(row[k:], above[k:])]
+            content = _gcd(*new)
+            row[k:] = [e // content for e in new] if content > 1 else new
+        if rows[k][k] <= 0:
+            return False
+    return True

@@ -1,9 +1,9 @@
-"""Arbitrary-precision integer arithmetic: gcd/lcm, factorization, totient.
+"""Prime factorization, primality and divisors of arbitrary-precision integers.
 
-Naturals are plain Python ints (unbounded); rationals are ``fractions.Fraction``,
-which is always kept in lowest terms with a positive denominator. A
-factorization is an ordered list of ``(prime, exponent)`` pairs with strictly
-increasing primes.
+Naturals are plain Python ints (unbounded); gcds and lcms are ``math.gcd``
+and ``math.lcm``, called directly where they are needed. A factorization is
+an ordered list of ``(prime, exponent)`` pairs with strictly increasing
+primes.
 
 Primes come from one sieve of Eratosthenes that the module shares. The primes
 below 2**12 are sieved at import. The sieve then grows only on demand, by
@@ -82,20 +82,6 @@ def first_primes(k: int) -> tuple[int, ...]:
     while len(primes) < k:
         primes = _grow()[1]
     return primes[:k]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two naturals; gcd(0, 0) = 0."""
-    if a < 0 or b < 0:
-        raise InvalidArgumentError(f"gcd requires nonnegative inputs, got ({a}, {b})")
-    return math.gcd(a, b)
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple a*b // gcd(a, b) of two positive integers."""
-    if a == 0 or b == 0:
-        raise InvalidArgumentError(f"lcm requires positive inputs, got ({a}, {b})")
-    return (a // math.gcd(a, b)) * b
 
 
 def is_prime(n: int) -> bool:
@@ -267,9 +253,10 @@ def factorize(x: int) -> tuple[tuple[int, int], ...]:
     prime power p**e costs O(log e) big divisions. The most recent 256
     results are cached, so memory stays bounded however many elements a
     process factorizes. The cache serves a command that factorizes one set
-    several times (``analyze`` factorizes each element at least twice); a
-    stream of distinct sets never hits it, so it is kept small: an entry
-    for an element with a dozen primes holds about 0.5 KB.
+    more than once (``analyze`` builds the exponent matrix, then
+    ``is_factor_closed`` factorizes elements again); a stream of distinct
+    sets never hits it, so it is kept small: an entry for an element with a
+    dozen primes holds about 0.5 KB.
     """
     if x == 0:
         raise InvalidArgumentError("cannot factorize 0")
@@ -284,16 +271,6 @@ def factorize(x: int) -> tuple[tuple[int, int], ...]:
     elif x > 1:
         factors[x] = 1
     return tuple(sorted(factors.items()))
-
-
-def totient(x: int) -> int:
-    """Euler's totient via the product formula over the prime factorization."""
-    if x == 0:
-        raise InvalidArgumentError("totient(0) is undefined")
-    result = x
-    for p, _ in factorize(x):
-        result -= result // p
-    return result
 
 
 def divisors(x: int) -> list[int]:

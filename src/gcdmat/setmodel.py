@@ -248,8 +248,11 @@ def find_monotone_order(s: OrderedSet | Iterable[int]) -> tuple[int, ...] | None
     end recovers it. The candidate is then checked column by column, so an
     unorderable set yields None.
     """
-    s = OrderedSet.coerce(s)
-    rows = pow_matrix(s).exponents
+    return _monotone_order(pow_matrix(s).exponents)
+
+
+def _monotone_order(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """find_monotone_order on the rows of an exponent matrix already built."""
 
     def distances(a: int) -> list[int]:
         return [sum(abs(u - v) for u, v in zip(rows[a], row)) for row in rows]

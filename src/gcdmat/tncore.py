@@ -26,10 +26,13 @@ hence the set is TN; conversely monotone columns satisfy both identities.
 
 ``single_pair_identities_hold`` gives this verdict. Every closed form makes
 the same check on the set it is given and reads the (1,i) and (i,n) vectors
-the check computed, so its result depends on the set alone. The deciders
-``check_tn_triple``, ``check_tn_monotone`` and the exhaustive minors of
-``exactmatrix`` stay as independent cross-checks. Every set with n <= 2 is
-TN, and the closed forms hold there too.
+the check computed, so its result depends on the set alone.
+``check_tn_triple`` gives the same verdict with a witness, and
+``exactmatrix.is_totally_nonnegative`` decides it from the gcd matrix
+itself (Neville elimination); these three ship. ``check_tn_monotone``
+(column monotonicity of the exponent matrix, with a witness) and the
+exhaustive minors are test oracles in ``tests/oracles.py``. Every set with
+n <= 2 is TN, and the closed forms hold there too.
 
 ``check_tn_triple`` names the first violating triple (i, j, k), i <= j <= k,
 in lexicographic order, with O(n^2) gcds and lcms rather than one test per
@@ -59,12 +62,11 @@ from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
 from typing import Iterable, NamedTuple
 
-from .errors import InternalConsistencyError, InvalidArgumentError, NotTnError
+from .errors import InternalConsistencyError, NotTnError
 from .exactmatrix import ExactMatrix
-from .setmodel import OrderedSet, pow_matrix
+from .setmodel import OrderedSet
 
 METHOD_TRIPLE = "TripleIdentity"
-METHOD_MONOTONE = "ColumnMonotone"
 
 
 class TnVerdict(NamedTuple):
@@ -80,16 +82,6 @@ class TnVerdict(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.is_tn
-
-
-class QuadrupleReport(NamedTuple):
-    """Outcome of the four-index gcd identity sweep; truthiness is the verdict."""
-
-    holds: bool
-    violation: tuple[int, int, int, int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 class TridiagonalInverse(NamedTuple):
@@ -197,73 +189,12 @@ def single_pair_identities_hold(s: OrderedSet | Iterable[int]) -> bool:
     return _single_pair_vectors(OrderedSet.coerce(s).elements) is not None
 
 
-def check_tn_monotone(s: OrderedSet | Iterable[int]) -> TnVerdict:
-    """Decide total nonnegativity via column monotonicity of the exponent matrix.
-
-    A non-monotone column yields a violating triple: with b the first strict
-    change against the column's initial direction, the rows (a, b, b+1) around
-    it violate the triple identity as well.
-    """
-    s = OrderedSet.coerce(s)
-    n = len(s)
-    exponents = pow_matrix(s).exponents
-    for col in zip(*exponents):
-        steps = [(i, (col[i] < col[i + 1]) - (col[i] > col[i + 1])) for i in range(n - 1)]
-        changes = [(i, d) for i, d in steps if d != 0]
-        for (a, first), (b, later) in zip(changes, changes[1:]):
-            if later != first:
-                return TnVerdict(False, METHOD_MONOTONE, (a + 1, b + 1, b + 2))
-    return TnVerdict(True, METHOD_MONOTONE)
-
-
 def _require_tn(s: OrderedSet) -> tuple[list[int], list[int]]:
     """Raise NotTnError unless s is TN; return the (1,i) and (i,n) vectors."""
     vectors = _single_pair_vectors(s.elements)
     if vectors is None:
         raise NotTnError(f"gcd matrix of {s!r} is not totally nonnegative")
     return vectors
-
-
-def check_quadruple_identity(s: OrderedSet | Iterable[int]) -> QuadrupleReport:
-    """Verify (i,k)*(j,l) = (i,l)*(j,k) for all 1 <= i <= j <= k <= l <= n.
-
-    Requires a totally nonnegative set. The check is the O(n^2) sweep of the
-    two-index identity (i,j)*(1,n) = (1,j)*(i,n) for every i <= j; the
-    four-index identity follows from it algebraically, since both sides
-    equal (1,k)*(1,l)*(i,n)*(j,n)/(1,n)^2. A violation is reported as the
-    failing quadruple (1, i, j, n).
-    """
-    s = OrderedSet.coerce(s)
-    first, last = _require_tn(s)
-    x = s.elements
-    n = len(x)
-    g1n = first[-1]
-    for i in range(n):
-        for j in range(i, n):
-            if _gcd(x[i], x[j]) * g1n != first[j] * last[i]:
-                return QuadrupleReport(False, (1, i + 1, j + 1, n))
-    return QuadrupleReport(True)
-
-
-def lcm_from_gcds(s: OrderedSet | Iterable[int], i: int, j: int) -> int:
-    """lcm(x_i, x_j) computed as (1,i)*(j,n) / (1,n), valid on TN sets.
-
-    Indices are 1-based with i <= j.
-    """
-    s = OrderedSet.coerce(s)
-    n = len(s)
-    if not 1 <= i <= n or not 1 <= j <= n:
-        raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{n}")
-    if i > j:
-        raise InvalidArgumentError(f"need i <= j, got ({i}, {j})")
-    first, last = _require_tn(s)
-    numerator = first[i - 1] * last[j - 1]
-    g1n = first[-1]
-    if numerator % g1n:
-        raise InternalConsistencyError(
-            f"closed-form lcm is not an integer for ({i}, {j}) on {s!r}"
-        )
-    return numerator // g1n
 
 
 def tridiagonal_inverse(s: OrderedSet | Iterable[int]) -> TridiagonalInverse:

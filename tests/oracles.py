@@ -7,14 +7,23 @@ the lcm-matrix quotient by Gauss-Jordan elimination over Fractions, the
 fraction-free LU by the general Bareiss pass over the whole trailing block,
 and the classical determinant product formulas evaluated directly from
 their definitions.
+
+Total nonnegativity has two oracles here that the library does not ship:
+column monotonicity of the exponent grid (check_tn_monotone) and the
+exhaustive minors (first_negative_minor by cofactors, and
+first_negative_minor_lu by the fraction-free LU, which is fast enough for
+n <= 8). check_quadruple_identity and lcm_from_gcds restate two identities
+of TN sets with plain gcds.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
 
+from gcdmat.errors import InvalidArgumentError, NotTnError
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import ExponentMatrix, OrderedSet, reconstruct
+from gcdmat.tncore import TnVerdict
 
 
 def cofactor_determinant(rows) -> Fraction:
@@ -51,15 +60,20 @@ def first_violating_triple(x) -> tuple[int, int, int] | None:
     return None
 
 
+def exponent_columns(elements) -> list[tuple[int, ...]]:
+    """The columns of the exponent grid of the elements, one per prime
+    (ascending), by trial division."""
+    primes = sorted({p for x in elements for p, _ in trial_division_factors(x)})
+    return list(zip(*[[_exponent(x, p) for p in primes] for x in elements]))
+
+
 def brute_monotone_images(elements) -> list[tuple[int, ...]]:
     """All 1-based images whose reordering has a column-monotone exponent grid."""
     elems = list(elements)
     n = len(elems)
     images = []
     for image in permutations(range(1, n + 1)):
-        reordered = [elems[i - 1] for i in image]
-        primes = sorted({p for x in reordered for p, _ in trial_division_factors(x)})
-        cols = list(zip(*[[_exponent(x, p) for p in primes] for x in reordered]))
+        cols = exponent_columns([elems[i - 1] for i in image])
         if all(
             all(a <= b for a, b in zip(col, col[1:]))
             or all(a >= b for a, b in zip(col, col[1:]))
@@ -109,6 +123,66 @@ def first_negative_minor(rows):
                 if det < 0:
                     return tuple(i + 1 for i in rr), tuple(j + 1 for j in cc), det
     return None
+
+
+def first_negative_minor_lu(rows):
+    """first_negative_minor of integer rows, each minor's determinant taken
+    as the last pivot of fraction_free_lu on the submatrix."""
+    n = len(rows)
+    for size in range(1, n + 1):
+        for rr in combinations(range(n), size):
+            for cc in combinations(range(n), size):
+                det = fraction_free_lu([[rows[i][j] for j in cc] for i in rr])[0][-1]
+                if det < 0:
+                    return tuple(i + 1 for i in rr), tuple(j + 1 for j in cc), det
+    return None
+
+
+def check_tn_monotone(s) -> TnVerdict:
+    """TN verdict from column monotonicity of the exponent grid (method
+    "ColumnMonotone").
+
+    A non-monotone column yields a violating triple: with b the first strict
+    change against the column's initial direction, the rows (a, b, b+1)
+    around it violate the triple identity as well.
+    """
+    for col in exponent_columns(s):
+        steps = [(i, (u < v) - (u > v)) for i, (u, v) in enumerate(zip(col, col[1:]))]
+        changes = [(i, d) for i, d in steps if d != 0]
+        for (a, first), (b, later) in zip(changes, changes[1:]):
+            if later != first:
+                return TnVerdict(False, "ColumnMonotone", (a + 1, b + 1, b + 2))
+    return TnVerdict(True, "ColumnMonotone")
+
+
+def _require_tn(x) -> None:
+    if first_violating_triple(tuple(x)) is not None:
+        raise NotTnError(f"gcd matrix of {list(x)} is not totally nonnegative")
+
+
+def check_quadruple_identity(s) -> bool:
+    """(i,k)*(j,l) == (i,l)*(j,k) for every 1 <= i <= j <= k <= l <= n,
+    each gcd taken directly; NotTnError on a set that is not TN."""
+    x = list(s)
+    _require_tn(x)
+    return all(
+        gcd(x[i], x[k]) * gcd(x[j], x[l]) == gcd(x[i], x[l]) * gcd(x[j], x[k])
+        for i, j, k, l in combinations_with_replacement(range(len(x)), 4)
+    )
+
+
+def lcm_from_gcds(s, i: int, j: int) -> int:
+    """lcm(x_i, x_j) as (1,i)*(j,n) / (1,n), 1-based i <= j, on a TN set
+    (NotTnError otherwise)."""
+    x = list(s)
+    if not 1 <= i <= len(x) or not 1 <= j <= len(x):
+        raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{len(x)}")
+    if i > j:
+        raise InvalidArgumentError(f"need i <= j, got ({i}, {j})")
+    _require_tn(x)
+    numerator, g1n = gcd(x[0], x[i - 1]) * gcd(x[j - 1], x[-1]), gcd(x[0], x[-1])
+    assert numerator % g1n == 0, (x, i, j)
+    return numerator // g1n
 
 
 def fraction_free_lu(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, int]]]:

@@ -9,21 +9,21 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 from math import gcd as _gcd
+from math import lcm
 
 import pytest
 
 from gcdmat.divisibility import divide_oracle, divide_power, search_gcd_closed_nondivisor
 from gcdmat.exactmatrix import (
     ExactMatrix,
-    all_minors_nonnegative,
     determinant,
     gcd_matrix,
     is_positive_definite,
+    is_totally_nonnegative,
     lcm_matrix,
     solve_right,
 )
-from gcdmat.generate import SplitMix64, pascal_set, random_monotone_exponents
-from gcdmat.numtheory import lcm
+from gcdmat.generate import SplitMix64, pascal_set, random_monotone_exponents, random_monotone_set
 from gcdmat.setmodel import (
     ExponentMatrix,
     OrderedSet,
@@ -35,7 +35,6 @@ from gcdmat.setmodel import (
 )
 from gcdmat.tncore import (
     check_tn_triple,
-    lcm_from_gcds,
     quotient_closed_form,
     single_pair_identities_hold,
     tridiagonal_inverse,
@@ -44,7 +43,9 @@ from gcdmat.tncore import (
 from oracles import (
     filtered_totient_product,
     divisor_closure,
+    first_negative_minor_lu,
     gcd_closure,
+    lcm_from_gcds,
     perturbed_exponents,
     random_distinct_set,
     shuffled,
@@ -180,14 +181,25 @@ def test_criterion_3_six_element_example():
 
 
 def test_criterion_4_three_way_tn_equivalence(mixed_sets):
-    with criterion(4, "single pair == triple == column monotone == minors, 500 sets", 60.0):
+    with criterion(4, "single pair == triple == column monotone == minors == Neville", 60.0):
         assert len(mixed_sets) >= 500
         for s in mixed_sets:
             single = single_pair_identities_hold(s)
             triple = check_tn_triple(s).is_tn
             monotone = bool(is_column_monotone(pow_matrix(s)))
-            minors = bool(all_minors_nonnegative(gcd_matrix(s)))
-            assert single == triple == monotone == minors, s
+            g = gcd_matrix(s)
+            minors = first_negative_minor_lu(g.entries) is None
+            assert single == triple == monotone == minors == is_totally_nonnegative(g), s
+        # past the reach of the minors: TN sets up to n = 60, as drawn and shuffled
+        rng = SplitMix64(0xACCE04)
+        verdicts = set()
+        for n in (10, 20, 40, 60):
+            s = random_monotone_set(rng, n, max_exp=40, max_primes=6)
+            for candidate in (s, shuffled(rng, s)):
+                single = single_pair_identities_hold(candidate)
+                assert single == is_totally_nonnegative(gcd_matrix(candidate)), candidate
+                verdicts.add(single)
+        assert verdicts == {True, False}
 
 
 def test_criterion_5_closed_forms_match_oracle(tn_sets):

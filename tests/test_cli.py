@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gcdmat
-from gcdmat import cli, divisibility, exactmatrix, setmodel, tncore
+from gcdmat import cli, divisibility, numtheory, setmodel, tncore
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix
 from gcdmat.generate import SplitMix64, random_monotone_set
 
@@ -121,10 +121,15 @@ class TestAnalyzeVerb:
         assert doc["monotone_order"] == [1, 2, 3, 4, 5, 6]
 
     def test_minor_cap_skips_large_confirmation(self, capsys):
+        """No cap: Neville elimination confirms TN at every n."""
         elems = [str(2**k) for k in range(9)]
         code, doc, _ = run_json(capsys, "analyze", *elems)
         assert code == 0
-        assert doc["minors_nonnegative"] is None  # 9 > default cap of 8
+        assert doc["minors_nonnegative"] is True
+        elems[4], elems[5] = elems[5], elems[4]
+        code, doc, _ = run_json(capsys, "analyze", *elems)
+        assert code == 0
+        assert doc["minors_nonnegative"] is False
 
     def test_thirty_prime_element_is_fast(self, capsys):
         """The primorial has 2^30 divisors; the factor-closed check stops at
@@ -135,6 +140,17 @@ class TestAnalyzeVerb:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert doc["factor_closed"] is False
+
+    def test_factorizes_each_element_once(self, capsys):
+        """The exponent matrix is built once and serves the order search too;
+        is_factor_closed factorizes the first two elements again (the second
+        already has more divisors than the set has members)."""
+        chain = [2**i * 3 ** (300 - i) for i in range(301)]
+        numtheory.factorize.cache_clear()
+        code, doc, _ = run_json(capsys, "analyze", *map(str, chain))
+        assert code == 0
+        assert doc["minors_nonnegative"] is True
+        assert numtheory.factorize.cache_info().misses <= 303
 
     def test_coprime_chains_rendering(self, capsys):
         code, doc, _ = run_json(capsys, "analyze", "2", "4", "3", "9")
@@ -427,14 +443,11 @@ def _sample_reports():
     """One report of each type, made by the library calls that return them."""
     return [
         (tncore.check_tn_triple([2, 3, 4]), ("is_tn", "method", "witness")),
-        (tncore.check_quadruple_identity([2, 6, 12]), ("holds", "violation")),
         (tncore.tridiagonal_inverse([2, 6, 12]), ("sub_super", "diagonal")),
         (setmodel.is_column_monotone(setmodel.pow_matrix([12, 6, 2])),
          ("monotone", "directions")),
         (divisibility.divide([1, 2, 3, 12]),
          ("divides", "side", "witness", "violation", "method")),
-        (exactmatrix.all_minors_nonnegative(gcd_matrix([2, 3, 4])),
-         ("all_nonnegative", "witness_rows", "witness_cols", "witness_value")),
     ]
 
 
@@ -442,7 +455,7 @@ class TestReportTypes:
     """The report types are immutable named tuples with their fields in a
     fixed order; the CLI serializes each as a dict of those fields."""
 
-    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("index", range(4))
     def test_fields_immutability_and_json(self, index):
         report, fields = _sample_reports()[index]
         assert tuple(report._asdict()) == fields
@@ -456,12 +469,9 @@ class TestReportTypes:
 
     def test_truthiness_is_the_verdict(self):
         assert tncore.check_tn_triple([2, 6, 12]) and not tncore.check_tn_triple([2, 3, 4])
-        assert tncore.check_quadruple_identity([2, 6, 12])
         assert setmodel.is_column_monotone(setmodel.pow_matrix([2, 6, 12]))
         assert not setmodel.is_column_monotone(setmodel.pow_matrix([2, 3, 4]))
         assert divisibility.divide([2, 6, 12]) and not divisibility.divide([1, 2, 3, 12])
-        assert exactmatrix.all_minors_nonnegative(gcd_matrix([2, 6, 12]))
-        assert not exactmatrix.all_minors_nonnegative(gcd_matrix([2, 3, 4]))
 
     def test_keyword_construction(self):
         report = divisibility.DivisibilityReport(False, violation=(1, 2, Fraction(1, 2)))

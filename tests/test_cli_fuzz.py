@@ -2,7 +2,7 @@
 ends with an exit code in {0, 1, 2, 3} and never with a traceback.
 
 Sizes stay small (at most 8 elements, --bound <= 50, --n <= 8) so the suite
-runs in seconds; the exhaustive minors and the closed forms are exercised at
+runs in seconds; Neville elimination and the closed forms are exercised at
 those sizes, not timed.
 """
 

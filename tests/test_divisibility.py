@@ -73,7 +73,7 @@ class TestDivideOracle:
     def test_left_witness_transpose(self):
         for elems in ([2, 6, 12], [1, 2, 3], SIX_ELEMENT):
             report = divide_oracle(elems)
-            assert gcd_matrix(elems) * report.left_witness() == lcm_matrix(elems)
+            assert gcd_matrix(elems) * report.witness.transpose() == lcm_matrix(elems)
 
     def test_json_schema(self):
         doc = _json(_divisibility(divide_oracle([1, 2, 3, 12])))

@@ -11,19 +11,18 @@ from gcdmat.errors import (
     NotSquareError,
     NotSymmetricError,
     SingularMatrixError,
-    TooLargeForExhaustiveMinorsError,
 )
 from gcdmat.exactmatrix import (
     ExactMatrix,
-    all_minors_nonnegative,
     determinant,
     gcd_matrix,
     integral_solve_right,
     is_positive_definite,
+    is_totally_nonnegative,
     lcm_matrix,
     solve_right,
 )
-from gcdmat.generate import SplitMix64
+from gcdmat.generate import SplitMix64, random_monotone_set
 from gcdmat.setmodel import OrderedSet
 
 from oracles import (
@@ -31,6 +30,8 @@ from oracles import (
     divisor_closure,
     gcd_closure,
     filtered_totient_product,
+    first_negative_minor,
+    first_negative_minor_lu,
     first_non_integral,
     fraction_free_lu,
     random_distinct_set,
@@ -164,45 +165,112 @@ class TestDeterminant:
 
 
 class TestAllMinors:
+    """The exhaustive-minors oracle on the fraction-free LU, against the
+    cofactor one, and Neville elimination where it applies (symmetric
+    nonsingular matrices)."""
+
     def test_tn_example(self):
-        assert all_minors_nonnegative(gcd_matrix([2, 6, 12]))
+        g = gcd_matrix([2, 6, 12])
+        assert first_negative_minor_lu(g.entries) is None
+        assert is_totally_nonnegative(g)
 
     def test_negative_witness(self):
-        report = all_minors_nonnegative(gcd_matrix([2, 3, 4]))
-        assert not report
-        assert report.witness_rows == (1, 2)
-        assert report.witness_cols == (2, 3)
-        assert report.witness_value == -5
+        g = gcd_matrix([2, 3, 4])
+        assert first_negative_minor_lu(g.entries) == ((1, 2), (2, 3), -5)
+        assert not is_totally_nonnegative(g)
 
     def test_one_by_one(self):
-        assert all_minors_nonnegative(ExactMatrix([[5]]))
-        assert not all_minors_nonnegative(ExactMatrix([[-1]]))
+        assert first_negative_minor_lu([[5]]) is None
+        assert first_negative_minor_lu([[-1]]) == ((1,), (1,), -1)
+        assert is_totally_nonnegative(ExactMatrix([[5]]))
+        assert not is_totally_nonnegative(ExactMatrix([[-1]]))
 
     def test_size_cap(self):
-        chain = gcd_matrix([2**k for k in range(9)])
-        with pytest.raises(TooLargeForExhaustiveMinorsError):
-            all_minors_nonnegative(chain)
-        assert all_minors_nonnegative(chain, size_cap=9)
+        """No order is refused: the chain 2^0..2^8, past the old cap of 8,
+        is TN, and one adjacent swap makes it not TN."""
+        chain = [2**k for k in range(9)]
+        assert first_negative_minor_lu(gcd_matrix(chain).entries) is None
+        assert is_totally_nonnegative(gcd_matrix(chain))
+        chain[4], chain[5] = chain[5], chain[4]
+        assert first_negative_minor_lu(gcd_matrix(chain).entries) is not None
+        assert not is_totally_nonnegative(gcd_matrix(chain))
 
     def test_witness_is_first_in_enumeration_order(self):
         # entry (1,2) of this matrix is the first negative 1x1 minor
-        report = all_minors_nonnegative(ExactMatrix([[1, -2], [3, 4]]))
-        assert (report.witness_rows, report.witness_cols) == ((1,), (2,))
-        assert report.witness_value == -2
+        assert first_negative_minor_lu([[1, -2], [3, 4]]) == ((1,), (2,), -2)
 
     def test_witness_matches_independent_enumeration(self):
-        from oracles import first_negative_minor
-
         rng = SplitMix64(13)
         for _ in range(30):
             n = rng.randint(1, 4)
             rows = [[rng.randint(-4, 9) for _ in range(n)] for _ in range(n)]
-            report = all_minors_nonnegative(ExactMatrix(rows))
-            expected = first_negative_minor(rows)
-            if expected is None:
-                assert report.all_nonnegative
+            assert first_negative_minor_lu(rows) == first_negative_minor(rows)
+
+
+def neville_families(seed, count):
+    """(elements, kind) for gcd matrices up to n = 7: random sets, TN sets,
+    and TN sets with one adjacent pair swapped."""
+    rng = SplitMix64(seed)
+    for t in range(count):
+        n = rng.randint(1, 7)
+        kind = ("random", "tn", "swapped")[t % 3]
+        if kind == "random":
+            yield list(random_distinct_set(rng, n, 10**4)), kind
+            continue
+        s = list(random_monotone_set(rng, n))
+        if kind == "swapped" and n > 1:
+            i = rng.below(n - 1)
+            s[i], s[i + 1] = s[i + 1], s[i]
+        yield s, kind
+
+
+class TestNeville:
+    """is_totally_nonnegative decides what the exhaustive minors decide."""
+
+    def test_agrees_with_the_minors_on_gcd_matrices(self):
+        verdicts = {}
+        for s, kind in neville_families(seed=31, count=300):
+            g = gcd_matrix(s)
+            expected = first_negative_minor_lu(g.entries) is None
+            assert is_totally_nonnegative(g) == expected, s
+            verdicts[kind, expected] = verdicts.get((kind, expected), 0) + 1
+        assert verdicts.get(("tn", True)) == 100
+        assert verdicts.get(("swapped", False), 0) >= 50
+        assert min(verdicts.get(("random", v), 0) for v in (True, False)) >= 10, verdicts
+
+    def test_agrees_with_the_minors_on_signed_symmetric_matrices(self):
+        """Signed and fractional entries reach the sign test, the negated
+        pair and the cleared denominators; a singular matrix reads False."""
+        rng = SplitMix64(32)
+        verdicts = {"tn": 0, "not": 0, "singular": 0}
+        for t in range(600):
+            n = rng.randint(1, 5)
+            lo = (-2, 0, 1)[t % 3]
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = Fraction(rng.randint(lo, 6), rng.randint(1, 2))
+            got = is_totally_nonnegative(ExactMatrix(rows))
+            if cofactor_determinant(rows) == 0:
+                assert got is False
+                verdicts["singular"] += 1
             else:
-                assert (report.witness_rows, report.witness_cols, report.witness_value) == expected
+                expected = first_negative_minor(rows) is None
+                assert got == expected, rows
+                verdicts["tn" if expected else "not"] += 1
+        assert min(verdicts.values()) >= 10, verdicts
+
+    @given(st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True), st.booleans())
+    def test_agrees_with_the_minors_property(self, elements, monotone):
+        s = sorted(elements) if monotone else elements
+        g = gcd_matrix(s)
+        assert is_totally_nonnegative(g) == (first_negative_minor_lu(g.entries) is None)
+
+    def test_needs_a_symmetric_square_matrix(self):
+        with pytest.raises(NotSymmetricError):
+            is_totally_nonnegative(ExactMatrix([[1, 2], [3, 4]]))
+        with pytest.raises(NotSquareError):
+            is_totally_nonnegative(ExactMatrix([[1, 2]]))
 
 
 class TestSolveRight:
@@ -419,7 +487,7 @@ class TestSymmetricElimination:
 
 class TestSymmetricRouting:
     """_factorization passes symmetric=True exactly when the cleared rows of
-    the transpose are symmetric; the exhaustive minors never do."""
+    the transpose are symmetric."""
 
     @staticmethod
     def recorded(monkeypatch, run):
@@ -449,11 +517,6 @@ class TestSymmetricRouting:
     )
     def test_factorization(self, monkeypatch, rows, symmetric):
         assert self.recorded(monkeypatch, lambda: determinant(ExactMatrix(rows))) == [symmetric]
-
-    def test_exhaustive_minors_use_the_general_pass(self, monkeypatch):
-        m = gcd_matrix([2, 6, 12, 36])
-        seen = self.recorded(monkeypatch, lambda: all_minors_nonnegative(m))
-        assert seen == [False] * 69  # sum of C(4, k)^2 for k = 1..4
 
 
 class TestPositiveDefinite:

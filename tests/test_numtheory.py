@@ -12,35 +12,9 @@ from gcdmat import numtheory
 from gcdmat.errors import InvalidArgumentError
 from gcdmat.generate import SplitMix64
 
-from oracles import totient_brute, trial_division_factors
+from oracles import trial_division_factors
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_gcd_examples():
-    assert numtheory.gcd(4000, 6000) == 2000
-    assert numtheory.gcd(7, 7) == 7
-    assert numtheory.gcd(1, 987654321) == 1
-    assert numtheory.gcd(0, 0) == 0
-    assert numtheory.gcd(0, 5) == 5
-
-
-def test_gcd_rejects_negative():
-    with pytest.raises(ValueError):
-        numtheory.gcd(-4, 6)
-
-
-def test_lcm_examples():
-    assert numtheory.lcm(2, 6) == 6
-    assert numtheory.lcm(6, 12) == 12
-    assert numtheory.lcm(4000, 6000) == 12000
-
-
-def test_lcm_zero_raises():
-    with pytest.raises(InvalidArgumentError, match=r"lcm requires positive inputs, got \(0, 5\)"):
-        numtheory.lcm(0, 5)
-    with pytest.raises(InvalidArgumentError, match=r"lcm requires positive inputs, got \(5, 0\)"):
-        numtheory.lcm(5, 0)
 
 
 def test_factorize_examples():
@@ -190,18 +164,6 @@ def test_readme_analyze_stays_in_the_small_sieve():
     assert int(out) == 2**12
 
 
-def test_totient_examples():
-    assert numtheory.totient(1) == 1
-    assert numtheory.totient(12) == totient_brute(12) == 4
-    for p in (2, 3, 31, 1009):
-        assert numtheory.totient(p) == p - 1
-
-
-def test_totient_matches_brute_force():
-    for n in range(1, 200):
-        assert numtheory.totient(n) == totient_brute(n)
-
-
 def test_is_prime_small():
     primes_below_100 = {p for p in range(100) if numtheory.is_prime(p)}
     assert primes_below_100 == {
@@ -224,11 +186,6 @@ def test_divisors():
         numtheory.divisors(0)
 
 
-@given(st.integers(1, 10**9), st.integers(1, 10**9))
-def test_gcd_lcm_product_identity(a, b):
-    assert numtheory.gcd(a, b) * numtheory.lcm(a, b) == a * b
-
-
 @given(st.integers(1, 10**7))
 def test_factorize_reconstructs(x):
     product = 1
@@ -237,14 +194,3 @@ def test_factorize_reconstructs(x):
         assert numtheory.is_prime(p)
         product *= p**e
     assert product == x
-
-
-@given(st.integers(2, 10**6))
-def test_totient_bounds(x):
-    t = numtheory.totient(x)
-    assert 1 <= t < x
-
-
-@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
-def test_gcd_associative(a, b, c):
-    assert numtheory.gcd(a, numtheory.gcd(b, c)) == numtheory.gcd(numtheory.gcd(a, b), c)

@@ -1,7 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,28 +12,33 @@ from gcdmat.divisibility import divide, divide_oracle
 from gcdmat.errors import InternalConsistencyError, InvalidArgumentError, NotTnError
 from gcdmat.exactmatrix import (
     ExactMatrix,
-    all_minors_nonnegative,
     gcd_matrix,
+    is_totally_nonnegative,
     lcm_matrix,
     solve_right,
 )
 from gcdmat.generate import SplitMix64, random_monotone_exponents, random_monotone_set
-from gcdmat.numtheory import lcm
 from gcdmat.setmodel import ExponentMatrix, is_column_monotone, pow_matrix, power_set, reconstruct
 from gcdmat.tncore import (
     METHOD_TRIPLE,
     TnVerdict,
     TridiagonalInverse,
-    check_quadruple_identity,
-    check_tn_monotone,
     check_tn_triple,
-    lcm_from_gcds,
     quotient_closed_form,
     single_pair_identities_hold,
     tridiagonal_inverse,
 )
 
-from oracles import first_violating_triple, perturbed_exponents, random_distinct_set, shuffled
+from oracles import (
+    check_quadruple_identity,
+    check_tn_monotone,
+    first_negative_minor_lu,
+    first_violating_triple,
+    lcm_from_gcds,
+    perturbed_exponents,
+    random_distinct_set,
+    shuffled,
+)
 
 PASCAL_SET = [210, 5402250, 238338491343750, 126233858791143985957031250]
 
@@ -160,8 +165,9 @@ class TestThreeWayAgreement:
         for s in sample_sets(seed=22, count=120):
             triple = check_tn_triple(s).is_tn
             monotone = bool(is_column_monotone(pow_matrix(s)))
-            minors = bool(all_minors_nonnegative(gcd_matrix(s)))
-            assert triple == monotone == minors, s
+            g = gcd_matrix(s)
+            minors = first_negative_minor_lu(g.entries) is None
+            assert triple == monotone == minors == is_totally_nonnegative(g), s
 
     def test_monotone_verdict_matches_and_witness_violates_triple(self):
         from math import gcd as g
@@ -196,7 +202,7 @@ class TestCheckTnSinglePair:
 
 
 class TestFourWayAgreement:
-    """Single-pair, triple, monotone and minors deciders give one verdict."""
+    """Single-pair, triple, monotone, minors and Neville deciders give one verdict."""
 
     def test_all_ordered_small_subsets(self):
         tn = 0
@@ -205,7 +211,9 @@ class TestFourWayAgreement:
                 triple = check_tn_triple(s)
                 assert single_pair_identities_hold(s) == triple.is_tn, s
                 assert check_tn_monotone(s).is_tn == triple.is_tn, s
-                assert all_minors_nonnegative(gcd_matrix(s)).all_nonnegative == triple.is_tn, s
+                g = gcd_matrix(s)
+                assert (first_negative_minor_lu(g.entries) is None) == triple.is_tn, s
+                assert is_totally_nonnegative(g) == triple.is_tn, s
                 tn += triple.is_tn
         assert 0 < tn < 26208
 
@@ -218,6 +226,7 @@ class TestFourWayAgreement:
                 single = single_pair_identities_hold(candidate)
                 assert single == check_tn_triple(candidate).is_tn
                 assert single == check_tn_monotone(candidate).is_tn
+                assert single == is_totally_nonnegative(gcd_matrix(candidate))
                 outcomes.add(single)
         assert outcomes == {True, False}
 
