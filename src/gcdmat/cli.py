@@ -111,7 +111,7 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     monotone = setmodel.is_column_monotone(exponents)
     verdict = tncore.check_tn_triple(s)
     minors_ok = exactmatrix.is_totally_nonnegative(exactmatrix.gcd_matrix(s))
-    order = setmodel._monotone_order(exponents.exponents)
+    order = setmodel.find_monotone_order(s)
     report = {
         "elements": s,
         "n": len(s),

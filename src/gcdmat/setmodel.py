@@ -6,9 +6,9 @@ equal. Its ``ExponentMatrix`` holds one row of prime exponents per element,
 over the sorted primes dividing the product of the elements.
 
 ``find_monotone_order`` finds a reordering that makes every exponent column
-monotone, if one exists, in O(n*k) for n elements over k primes and with no
-cap on k: such an order is unique up to reversal, and sorting the rows by
-their L1 distance from an end row recovers it.
+monotone, if one exists, from O(n) gcds and without factorizing: such an
+order is unique up to reversal, and sorting the elements by lcm/gcd from an
+end element recovers it.
 """
 
 from __future__ import annotations
@@ -239,33 +239,35 @@ def find_monotone_order(s: OrderedSet | Iterable[int]) -> tuple[int, ...] | None
     reordering works; of the two valid permutations (an order and its
     reverse) the lexicographically smaller image list is returned.
 
-    O(n*k) for n rows and k primes. In a column-monotone order every column
-    moves the same way between any two rows, relative to its direction, so
-    the L1 distance between exponent rows u and v is |K(u) - K(v)| for the
-    signed sum K of the exponents: the rows sit on a line, in the order,
-    with distinct points. Hence the order is unique up to reversal, the row
-    farthest from any row is an end of it, and sorting by distance from that
-    end recovers it. The candidate is then checked column by column, so an
-    unorderable set yields None.
+    O(n) gcds and no factorization. Let d(u, v) = lcm(u, v)/gcd(u, v), the
+    product of p^|e_p(u) - e_p(v)| over the primes p. Per prime,
+    |e_p(u) - e_p(w)| <= |e_p(u) - e_p(v)| + |e_p(v) - e_p(w)|, with equality
+    exactly when e_p(v) lies between e_p(u) and e_p(w); so
+    d(u, w) = d(u, v) * d(v, w) iff v lies between u and w in every column.
+    In a column-monotone order every element lies between any two on either
+    side of it, so d strictly increases along the order away from any
+    element (d > 1 between distinct elements). Hence the element farthest
+    from x_1 is an end, the order is unique up to reversal, and sorting by d
+    from that end recovers it. The candidate o_1, ..., o_n is accepted iff
+    d(o_1, o_{j+1}) = d(o_1, o_j) * d(o_j, o_{j+1}) for every j: then each
+    o_j lies between o_1 and o_{j+1} in every column, so no column turns
+    back, and an unorderable set yields None.
     """
-    return _monotone_order(pow_matrix(s).exponents)
-
-
-def _monotone_order(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """find_monotone_order on the rows of an exponent matrix already built."""
-
-    def distances(a: int) -> list[int]:
-        return [sum(abs(u - v) for u, v in zip(rows[a], row)) for row in rows]
-
-    from_first = distances(0)
-    end = from_first.index(max(from_first))
-    from_end = distances(end)
-    order = sorted(range(len(rows)), key=from_end.__getitem__)
-    reordered = [rows[i] for i in order]
-    if any(_column_direction(col) == "none" for col in zip(*reordered)):
-        return None
+    s = OrderedSet.coerce(s)
+    from_first = [_lcm_over_gcd(s[0], x) for x in s]
+    end = s[from_first.index(max(from_first))]
+    from_end = [_lcm_over_gcd(end, x) for x in s]
+    order = sorted(range(len(s)), key=from_end.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if from_end[j] != from_end[i] * _lcm_over_gcd(s[i], s[j]):
+            return None
     image = tuple(i + 1 for i in order)
     return min(image, image[::-1])
+
+
+def _lcm_over_gcd(u: int, v: int) -> int:
+    g = gcd(u, v)
+    return (u // g) * (v // g)
 
 
 def is_gcd_closed(s: OrderedSet | Iterable[int]) -> bool:
@@ -311,35 +313,28 @@ def classify_coprime_divisor_chains(
 ) -> list[list[int]] | None:
     """Partition into pairwise-coprime divisor chains, or None if impossible.
 
-    Elements are grouped into connected components under "gcd > 1"; such a
-    partition exists iff every component is totally ordered by divisibility.
-    Components are pairwise coprime by construction. The element 1 is coprime
-    to everything and forms its own singleton block. Blocks are ordered by
+    Such a partition exists iff every connected component under "gcd > 1" is
+    totally ordered by divisibility, and then the components are the blocks.
+    The elements are taken in ascending order, keeping the top of each chain
+    built so far: x starts a new chain if it shares a factor with no top,
+    joins the chain of t if t is the only top it shares a factor with and
+    t | x, and otherwise no partition exists. Tops suffice because every
+    lower element of a chain divides its top. The element 1 is coprime to
+    everything and forms its own singleton block. Blocks are ordered by
     first appearance in s; each block is listed in chain (ascending) order.
     """
     s = OrderedSet.coerce(s)
-    n = len(s)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in itertools.combinations(range(n), 2):
-        if gcd(s[i], s[j]) > 1:
-            parent[find(i)] = find(j)
-
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(s[i])
-    ordered = sorted(blocks.values(), key=lambda block: s.elements.index(block[0]))
-    for block in ordered:
-        block.sort()
-        if any(b % a != 0 for a, b in zip(block, block[1:])):
+    chains: list[list[int]] = []
+    for x in sorted(s):
+        shared = [chain for chain in chains if gcd(chain[-1], x) > 1]
+        if not shared:
+            chains.append([x])
+        elif len(shared) == 1 and x % shared[0][-1] == 0:
+            shared[0].append(x)
+        else:
             return None
-    return ordered
+    position = {x: i for i, x in enumerate(s)}
+    return sorted(chains, key=lambda chain: min(map(position.__getitem__, chain)))
 
 
 def power_set(s: OrderedSet | Iterable[int], e: int) -> OrderedSet:

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 determinants by cofactor expansion, monotone orders by full permutation
-enumeration, factorizations by plain trial division, totients by counting,
-the lcm-matrix quotient by Gauss-Jordan elimination over Fractions, the
-fraction-free LU by the general Bareiss pass over the whole trailing block,
-and the classical determinant product formulas evaluated directly from
-their definitions.
+enumeration and by L1 distance between trial-division exponent rows,
+coprime divisor chains by union-find over all pairs, factorizations by
+plain trial division, totients by counting, the lcm-matrix quotient by
+Gauss-Jordan elimination over Fractions, the fraction-free LU by the
+general Bareiss pass over the whole trailing block, and the classical
+determinant product formulas evaluated directly from their definitions.
 
 Total nonnegativity has two oracles here that the library does not ship:
 column monotonicity of the exponent grid (check_tn_monotone) and the
@@ -60,11 +61,22 @@ def first_violating_triple(x) -> tuple[int, int, int] | None:
     return None
 
 
-def exponent_columns(elements) -> list[tuple[int, ...]]:
-    """The columns of the exponent grid of the elements, one per prime
-    (ascending), by trial division."""
+def exponent_rows(elements) -> list[list[int]]:
+    """The exponent grid of the elements, one row per element and one column
+    per prime (ascending), by trial division."""
     primes = sorted({p for x in elements for p, _ in trial_division_factors(x)})
-    return list(zip(*[[_exponent(x, p) for p in primes] for x in elements]))
+    return [[_exponent(x, p) for p in primes] for x in elements]
+
+
+def exponent_columns(elements) -> list[tuple[int, ...]]:
+    """The columns of the exponent grid of the elements."""
+    return list(zip(*exponent_rows(elements)))
+
+
+def _monotone(col) -> bool:
+    return all(a <= b for a, b in zip(col, col[1:])) or all(
+        a >= b for a, b in zip(col, col[1:])
+    )
 
 
 def brute_monotone_images(elements) -> list[tuple[int, ...]]:
@@ -73,14 +85,54 @@ def brute_monotone_images(elements) -> list[tuple[int, ...]]:
     n = len(elems)
     images = []
     for image in permutations(range(1, n + 1)):
-        cols = exponent_columns([elems[i - 1] for i in image])
-        if all(
-            all(a <= b for a, b in zip(col, col[1:]))
-            or all(a >= b for a, b in zip(col, col[1:]))
-            for col in cols
-        ):
+        if all(map(_monotone, exponent_columns([elems[i - 1] for i in image]))):
             images.append(image)
     return images
+
+
+def l1_monotone_order(elements) -> tuple[int, ...] | None:
+    """The monotone-order search over exponent rows: the row farthest in L1
+    distance from row 1 is an end, sorting by L1 distance from that end gives
+    the candidate, and every column of the candidate is checked. Returns the
+    lexicographically smaller of the image and its reverse, or None."""
+    rows = exponent_rows(elements)
+
+    def distances(a: int) -> list[int]:
+        return [sum(abs(u - v) for u, v in zip(rows[a], row)) for row in rows]
+
+    from_first = distances(0)
+    from_end = distances(from_first.index(max(from_first)))
+    order = sorted(range(len(rows)), key=from_end.__getitem__)
+    if not all(map(_monotone, zip(*(rows[i] for i in order)))):
+        return None
+    image = tuple(i + 1 for i in order)
+    return min(image, image[::-1])
+
+
+def union_find_chains(elements) -> list[list[int]] | None:
+    """Coprime divisor chains by union-find over all pairs with gcd > 1: the
+    components, ordered by first appearance and each sorted ascending, or
+    None when some component is not a divisibility chain."""
+    x = list(elements)
+    parent = list(range(len(x)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(len(x)), 2):
+        if gcd(x[i], x[j]) > 1:
+            parent[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(x)):
+        blocks.setdefault(find(i), []).append(x[i])
+    ordered = sorted(blocks.values(), key=lambda block: x.index(block[0]))
+    for block in ordered:
+        block.sort()
+        if any(b % a != 0 for a, b in zip(block, block[1:])):
+            return None
+    return ordered
 
 
 def trial_division_factors(x: int) -> list[tuple[int, int]]:

@@ -142,9 +142,10 @@ class TestAnalyzeVerb:
         assert doc["factor_closed"] is False
 
     def test_factorizes_each_element_once(self, capsys):
-        """The exponent matrix is built once and serves the order search too;
-        is_factor_closed factorizes the first two elements again (the second
-        already has more divisors than the set has members)."""
+        """The exponent matrix is built once, for the column-monotone report
+        (the order search reads gcds only); is_factor_closed factorizes the
+        first two elements again (the second already has more divisors than
+        the set has members)."""
         chain = [2**i * 3 ** (300 - i) for i in range(301)]
         numtheory.factorize.cache_clear()
         code, doc, _ = run_json(capsys, "analyze", *map(str, chain))

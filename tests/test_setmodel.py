@@ -1,13 +1,23 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcdmat import setmodel
+from gcdmat import numtheory, setmodel
 from gcdmat.cli import _json
 from gcdmat.errors import InvalidArgumentError, InvalidSetError
 from gcdmat.setmodel import ExponentMatrix, OrderedSet
 
-from oracles import brute_monotone_images, random_distinct_set
-from gcdmat.generate import SplitMix64, first_primes
+from oracles import (
+    brute_monotone_images,
+    l1_monotone_order,
+    perturbed_exponents,
+    random_distinct_set,
+    shuffled,
+    union_find_chains,
+)
+from gcdmat.generate import SplitMix64, first_primes, random_monotone_exponents
 
 # the two orderings of the five-element worked example
 S_MONOTONE = [4000, 6000, 600, 54, 81]
@@ -16,6 +26,52 @@ POW_MONOTONE = [[5, 0, 3], [4, 1, 3], [3, 1, 2], [1, 3, 0], [0, 4, 0]]
 POW_SHUFFLED = [[0, 4, 0], [5, 0, 3], [3, 1, 2], [4, 1, 3], [1, 3, 0]]
 
 SIX_ELEMENT = [330812181, 551353635, 7501410, 2976750, 5512500000, 18750000000]
+
+# elements whose factorization is out of reach: F_7 = 2^128 + 1 has a
+# 17-digit smallest prime factor, and p, q below are 27- and 33-digit primes
+FERMAT_PAIR = [2**128 + 1, 2**128 + 3]
+MERSENNE_SET = [(2**89 - 1) ** i * (2**107 - 1) ** (5 - i) for i in range(6)]
+random.Random(2).shuffle(MERSENNE_SET)
+
+
+def seeded_sets(seed: int):
+    """For n = 1..60: a shuffled column-monotone set, the same set with 1
+    added, a perturbed (mostly unorderable) one, and random small integers."""
+    rng = SplitMix64(seed)
+    for n in range(1, 61):
+        m = random_monotone_exponents(rng, n, max_exp=60, max_primes=6)
+        s = setmodel.reconstruct(m)
+        yield shuffled(rng, s)
+        if 1 not in s:
+            yield shuffled(rng, OrderedSet(s.elements + (1,)))
+        yield shuffled(rng, setmodel.reconstruct(perturbed_exponents(rng, m, max_exp=60)))
+        yield random_distinct_set(rng, min(n, 12), 10**6)
+
+
+def coprime_chain_sets(seed: int):
+    """Shuffled unions of chains over disjoint primes, with and without 1,
+    and the same with one element multiplied by another chain's prime."""
+    rng = SplitMix64(seed)
+    for n in range(1, 61):
+        primes = list(first_primes(12))
+        rng.shuffle(primes)
+        c = rng.randint(1, 4)
+        elems = []
+        for i in range(c):
+            x = 1
+            for _ in range(max(1, n // c)):
+                x *= rng.choice(primes[3 * i : 3 * i + 3])
+                elems.append(x)
+        if rng.below(2):
+            elems.append(1)
+        s = shuffled(rng, OrderedSet(elems))
+        yield s
+        broken = list(s)
+        i = rng.below(len(broken))
+        factor = rng.choice(primes)
+        if broken[i] * factor not in broken:
+            broken[i] *= factor
+            yield OrderedSet(broken)
 
 
 class TestOrderedSet:
@@ -188,6 +244,27 @@ class TestFindMonotoneOrder:
         assert found == min(chain, chain[::-1])
 
 
+    def test_agrees_with_exponent_row_oracle(self):
+        orderable = 0
+        for s in seeded_sets(2021):
+            found = setmodel.find_monotone_order(s)
+            assert found == l1_monotone_order(s.elements), s
+            orderable += found is not None
+        assert 60 <= orderable <= 200
+
+    @pytest.mark.parametrize("elements", [FERMAT_PAIR, MERSENNE_SET], ids=["fermat", "mersenne"])
+    def test_does_not_factorize(self, monkeypatch, elements):
+        def refuse(x):
+            raise AssertionError(f"factorize({x}) called")
+
+        monkeypatch.setattr(numtheory, "factorize", refuse)
+        image = setmodel.find_monotone_order(elements)
+        assert image is not None
+        if elements is MERSENNE_SET:
+            ordered = OrderedSet(elements).permute(image).elements
+            assert ordered in (tuple(sorted(elements)), tuple(sorted(elements, reverse=True)))
+
+
 class TestPredicates:
     def test_gcd_closed(self):
         assert setmodel.is_gcd_closed([1, 2, 3])
@@ -247,6 +324,27 @@ class TestCoprimeChains:
                     assert all(gcd(a, b) == 1 for a in bi for b in bj)
 
 
+    def test_agrees_with_union_find_oracle(self):
+        split = 0
+        for s in [*seeded_sets(77), *coprime_chain_sets(78)]:
+            blocks = setmodel.classify_coprime_divisor_chains(s)
+            assert blocks == union_find_chains(s.elements), s
+            split += blocks is not None and len(blocks) > 1
+        assert split >= 40
+
+    def test_long_chains_are_fast(self):
+        # one gcd component that is not a divisibility chain: 2^1000 does
+        # not divide 2^999 * 3, the next element up
+        tn_chain = [2**i * 3 ** (1000 - i) for i in range(1001)]
+        divisor_chain = [6**i for i in range(1, 1002)]
+        random.Random(1001).shuffle(divisor_chain)
+        start = time.perf_counter()
+        assert setmodel.classify_coprime_divisor_chains(tn_chain) is None
+        blocks = setmodel.classify_coprime_divisor_chains(divisor_chain)
+        assert time.perf_counter() - start < 0.1
+        assert blocks == [sorted(divisor_chain)]
+
+
 class TestPowerSetAndReconstruct:
     def test_power_set(self):
         assert setmodel.power_set([2, 6, 12], 2) == OrderedSet([4, 36, 144])
@@ -301,3 +399,33 @@ def test_monotone_order_implies_monotone(s):
     image = setmodel.find_monotone_order(s)
     if image is not None:
         assert setmodel.is_column_monotone(setmodel.pow_matrix(s.permute(image)))
+
+
+@st.composite
+def smooth_sets(draw):
+    """Sets of 2^a 3^b 5^c with small exponents, 1 included at times: dense
+    enough in exponent space that many of them are orderable."""
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8, unique=True))
+    return OrderedSet(2**a * 3**b * 5**c for a, b, c in rows)
+
+
+@st.composite
+def prime_power_sets(draw):
+    """Sets of prime powers and small products of them: often coprime chains."""
+    elems = draw(st.lists(
+        st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 1, 6, 12, 18, 10]),
+        min_size=1, max_size=8, unique=True,
+    ))
+    return OrderedSet(elems)
+
+
+@given(st.one_of(ordered_sets(), smooth_sets()))
+@settings(max_examples=200, deadline=None)
+def test_monotone_order_matches_exponent_row_oracle(s):
+    assert setmodel.find_monotone_order(s) == l1_monotone_order(s.elements)
+
+
+@given(st.one_of(ordered_sets(), smooth_sets(), prime_power_sets()))
+@settings(max_examples=200, deadline=None)
+def test_coprime_chains_match_union_find_oracle(s):
+    assert setmodel.classify_coprime_divisor_chains(s) == union_find_chains(s.elements)
