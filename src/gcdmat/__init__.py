@@ -12,7 +12,6 @@ from .divisibility import (
     DivisibilityReport,
     divide,
     divide_oracle,
-    divide_power,
     search_gcd_closed_nondivisor,
 )
 from .exactmatrix import (
@@ -61,7 +60,6 @@ __all__ = [
     "determinant",
     "divide",
     "divide_oracle",
-    "divide_power",
     "factorize",
     "find_monotone_order",
     "gcd_matrix",

@@ -127,12 +127,12 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _cmd_gcd_matrix(args) -> tuple[ExactMatrix, int]:
-    return exactmatrix.gcd_matrix(_load_set(args)), EXIT_OK
+def _cmd_gcd_matrix(args) -> tuple[dict, int]:
+    return {"entries": exactmatrix.gcd_matrix(_load_set(args))}, EXIT_OK
 
 
-def _cmd_lcm_matrix(args) -> tuple[ExactMatrix, int]:
-    return exactmatrix.lcm_matrix(_load_set(args)), EXIT_OK
+def _cmd_lcm_matrix(args) -> tuple[dict, int]:
+    return {"entries": exactmatrix.lcm_matrix(_load_set(args))}, EXIT_OK
 
 
 def _cmd_pow(args) -> tuple[ExponentMatrix, int]:
@@ -151,6 +151,8 @@ def _cmd_order(args) -> tuple[dict, int]:
 
 
 def _cmd_invert(args) -> tuple[dict, int]:
+    """The tridiagonal path prints only the 2n - 1 coefficients that define
+    the inverse; the solve path prints the dense inverse."""
     s = _load_set(args)
     try:
         tri = tncore.tridiagonal_inverse(s)
@@ -158,20 +160,8 @@ def _cmd_invert(args) -> tuple[dict, int]:
         inverse = exactmatrix.solve_right(exactmatrix.gcd_matrix(s), ExactMatrix.identity(len(s)))
         report = {"method": "solve", "sub_super": None, "diagonal": None, "inverse": inverse}
     else:
-        report = {
-            "method": "tridiagonal",
-            "sub_super": tri.sub_super,
-            "diagonal": tri.diagonal,
-            "inverse": tri.as_matrix(),
-        }
+        report = {"method": "tridiagonal", **tri._asdict(), "inverse": None}
     return report, EXIT_OK
-
-
-def _divisibility(report: divisibility.DivisibilityReport, **extra) -> dict:
-    """A divisibility report's fields, its witness as the bare entry grid,
-    then the verb's own keys."""
-    witness = _entry_strings(report.witness) if report.witness is not None else None
-    return {**report._asdict(), "witness": witness, **extra}
 
 
 def _witness_holds(s: OrderedSet, witness: ExactMatrix) -> bool:
@@ -198,15 +188,14 @@ def _cmd_divide(args) -> tuple[dict, int]:
     verified = args.verify and report.divides
     if verified and not _witness_holds(s, report.witness):
         raise CrossCheckFailure(f"witness * gcd != lcm on {list(s.elements)}")
-    return _divisibility(report, verified=verified), EXIT_OK if report.divides else EXIT_NEGATIVE
+    doc = {**report._asdict(), "verified": verified}
+    return doc, EXIT_OK if report.divides else EXIT_NEGATIVE
 
 
 def _cmd_power_divide(args) -> tuple[dict, int]:
-    s = _load_set(args)
-    report = divisibility.divide_power(s, args.power)
-    doc = _divisibility(
-        report, power=args.power, power_elements=setmodel.power_set(s, args.power)
-    )
+    powered = setmodel.power_set(_load_set(args), args.power)
+    report = divisibility.divide(powered)
+    doc = {**report._asdict(), "power": args.power, "power_elements": powered}
     return doc, EXIT_OK if report.divides else EXIT_NEGATIVE
 
 
@@ -261,8 +250,8 @@ def _json(value):
 
     Set elements, primes, matrix entries and fractions become decimal strings
     of any length; counts, indices and exponents stay numbers. A matrix is
-    {"rows", "cols", "entries"}, an exponent matrix {"primes", "exponents"},
-    and a report named tuple its fields in order.
+    its grid of entries, an exponent matrix {"primes", "exponents"}, and a
+    report named tuple its fields in order.
     """
     if isinstance(value, dict):
         return {key: _json(v) for key, v in value.items()}
@@ -275,15 +264,10 @@ def _json(value):
     if isinstance(value, OrderedSet):
         return [str(x) for x in value]
     if isinstance(value, ExactMatrix):
-        return {"rows": value.rows, "cols": value.cols, "entries": _entry_strings(value)}
+        return [[str(e) for e in row] for row in value]
     if isinstance(value, ExponentMatrix):
         return {"primes": [str(p) for p in value.primes], "exponents": _json(value.exponents)}
     return value
-
-
-def _entry_strings(m: ExactMatrix) -> list[list[str]]:
-    """A matrix's entries as decimal strings, ints and fractions alike."""
-    return [[str(e) for e in row] for row in m]
 
 
 def _scalar(value) -> str:

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 from . import numtheory
 from .errors import InvalidArgumentError, NotTnError
 from .exactmatrix import ExactMatrix, gcd_matrix, integral_solve_right, lcm_matrix
-from .setmodel import OrderedSet, is_gcd_closed, power_set
+from .setmodel import OrderedSet, is_gcd_closed
 from .tncore import quotient_closed_form, single_pair_identities_hold
 
 METHOD_ORACLE = "oracle"
@@ -26,13 +26,13 @@ class DivisibilityReport(NamedTuple):
     """Verdict on gcd-matrix | lcm-matrix with witness or counterexample.
 
     When divides is true, witness is the integer matrix C with
-    C * gcd_matrix = lcm_matrix (side "Both": transpose C for the left side).
+    C * gcd_matrix = lcm_matrix; both matrices are symmetric, so C's
+    transpose is the left quotient and one verdict covers both sides.
     Otherwise violation is the first non-integral quotient entry in row-major
     order as (row, col, value) with 1-based indices.
     """
 
     divides: bool
-    side: str = "Both"
     witness: ExactMatrix | None = None
     violation: tuple[int, int, Fraction] | None = None
     method: str = METHOD_ORACLE
@@ -69,11 +69,6 @@ def divide(s: OrderedSet | Iterable[int]) -> DivisibilityReport:
     except NotTnError:
         return divide_oracle(s)
     return DivisibilityReport(True, witness=witness, method=METHOD_CLOSED_FORM)
-
-
-def divide_power(s: OrderedSet | Iterable[int], e: int) -> DivisibilityReport:
-    """Divisibility report for the elementwise e-th power of the set."""
-    return divide(power_set(OrderedSet.coerce(s), e))
 
 
 def _gcd_closed_candidates(n: int, element_bound: int):

@@ -26,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _gcd
 from math import lcm as _lcm
-from math import prod
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -126,18 +125,12 @@ class ExactMatrix:
     def _factorization(self) -> _Factorization:
         """The LU of this square matrix's transpose, made once and kept.
 
-        Symmetry is read from the cleared integer rows, not from the
-        entries: rows of a symmetric matrix cleared by different
-        multipliers are no longer symmetric. When no row was scaled the
-        cleared rows are the columns, and their transpose is the entries."""
+        The transpose is cleared by one scale for the whole matrix, so its
+        integer rows are symmetric exactly when the matrix is."""
         if self._lu is None:
             cols = tuple(zip(*self._entries))
-            rows, mults = _integer_rows(cols)
-            if mults.count(1) == len(mults):
-                symmetric = cols == self._entries
-            else:
-                symmetric = rows == list(map(list, zip(*rows)))
-            self._lu = (rows, *_bareiss(rows, symmetric), mults)
+            rows, scale = _integer_rows(cols)
+            self._lu = (rows, *_bareiss(rows, cols == self._entries), scale)
         return self._lu
 
 
@@ -153,22 +146,17 @@ def lcm_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     return ExactMatrix([[_lcm(a, b) for b in s] for a in s])
 
 
-def _integer_row(row: Iterable[Entry]) -> tuple[list[int], int]:
-    """A row cleared of denominators and the positive multiplier that did
-    it: 1, with no lcm taken, when every entry is already an int."""
-    row = list(row)
-    if Fraction not in map(type, row):
-        return row, 1
-    mult = _lcm(*[e.denominator for e in row])
-    return [e.numerator * (mult // e.denominator) for e in row], mult
-
-
-def _integer_rows(rows: Iterable[Iterable[Entry]]) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns the integer rows and the
-    positive multiplier of each row, so det(rows) = det(int rows) / prod(mults)
-    and each leading principal minor keeps its sign."""
-    cleared = [_integer_row(row) for row in rows]
-    return [row for row, _ in cleared], [mult for _, mult in cleared]
+def _integer_rows(rows: Iterable[Iterable[Entry]]) -> tuple[list[list[int]], int]:
+    """Rows times the lcm of all their denominators, and that positive
+    scale: 1, with no lcm taken, when every entry is already an int. For n
+    square rows det(rows) = det(int rows) / scale**n, and each leading
+    principal minor keeps its sign."""
+    rows = [list(row) for row in rows]
+    denominators = [e.denominator for row in rows for e in row if type(e) is Fraction]
+    if not denominators:
+        return rows, 1
+    scale = _lcm(*denominators)
+    return [[e.numerator * (scale // e.denominator) for e in row] for row in rows], scale
 
 
 def _bareiss(
@@ -229,8 +217,8 @@ def _bareiss(
 
 
 # Fraction-free LU of the integer rows of a square matrix's transpose:
-# (rows, pivots, swaps) from _bareiss and the mults from _integer_rows.
-_Factorization = tuple[list[list[int]], list[int], list[tuple[int, int]], list[int]]
+# (rows, pivots, swaps) from _bareiss and the scale from _integer_rows.
+_Factorization = tuple[list[list[int]], list[int], list[tuple[int, int]], int]
 
 
 def _ratio(v: int, d: int) -> Entry:
@@ -239,24 +227,24 @@ def _ratio(v: int, d: int) -> Entry:
 
 
 def determinant(m: ExactMatrix) -> Entry:
-    """Exact determinant: the last Bareiss pivot over the row multipliers."""
+    """Exact determinant: the last Bareiss pivot over scale**n."""
     if not m.is_square():
         raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    _, pivots, _, mults = m._factorization()
-    return _ratio(pivots[-1], prod(mults))
+    _, pivots, _, scale = m._factorization()
+    return _ratio(pivots[-1], scale**m.rows)
 
 
 def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> list[Entry]:
     """x with x * a = b_row, from the LU of a's transpose.
 
-    b_row, scaled by a's row multipliers and cleared to integers (its factor
-    c), is the right-hand side of a^T x = b_row. It replays the LU's swaps
-    (a swap moves and negates a row's stored multipliers with it, so every
-    swap comes before the first step), then each elimination step with the
-    multiplier stored below the diagonal. Fraction-free back-substitution
+    b_row, times the scale that cleared a and cleared to integers (its
+    factor c), is the right-hand side of a^T x = b_row. It replays the LU's
+    swaps (a swap moves and negates a row's stored multipliers with it, so
+    every swap comes before the first step), then each elimination step with
+    the multiplier stored below the diagonal. Fraction-free back-substitution
     gives y = d * c * x, with d the last pivot."""
-    rows, pivots, swaps, mults = lu
-    rhs, c = _integer_row(map(mul, b_row, mults))
+    rows, pivots, swaps, scale = lu
+    [rhs], c = _integer_rows([[e * scale for e in b_row]])
     for k, s in swaps:
         rhs[k], rhs[s] = -rhs[s], rhs[k]
     n = len(rows)

@@ -358,7 +358,7 @@ def parse_input_document(text: str) -> OrderedSet | ExponentMatrix:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidSetError(f"bad JSON input: {exc}") from None
         if "primes" in doc:
             return ExponentMatrix.from_json_dict(doc)

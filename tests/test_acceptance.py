@@ -13,7 +13,7 @@ from math import lcm
 
 import pytest
 
-from gcdmat.divisibility import divide_oracle, divide_power, search_gcd_closed_nondivisor
+from gcdmat.divisibility import divide, divide_oracle, search_gcd_closed_nondivisor
 from gcdmat.exactmatrix import (
     ExactMatrix,
     determinant,
@@ -31,6 +31,7 @@ from gcdmat.setmodel import (
     is_column_monotone,
     is_gcd_closed,
     pow_matrix,
+    power_set,
     reconstruct,
 )
 from gcdmat.tncore import (
@@ -177,7 +178,7 @@ def test_criterion_3_six_element_example():
         assert [list(r) for r in m.exponents] == exponents
         assert bool(is_column_monotone(m)) is True
         for e in (1, 2, 3):
-            assert divide_power(s, e).divides
+            assert divide(power_set(s, e)).divides
 
 
 def test_criterion_4_three_way_tn_equivalence(mixed_sets):

@@ -162,11 +162,7 @@ class TestMatrixVerbs:
     def test_gcd_matrix(self, capsys):
         code, doc, _ = run_json(capsys, "gcd-matrix", "2", "6", "12")
         assert code == 0
-        assert doc == {
-            "rows": 3,
-            "cols": 3,
-            "entries": [["2", "2", "2"], ["2", "6", "6"], ["2", "6", "12"]],
-        }
+        assert doc == {"entries": [["2", "2", "2"], ["2", "6", "6"], ["2", "6", "12"]]}
 
     def test_lcm_matrix(self, capsys):
         code, doc, _ = run_json(capsys, "lcm-matrix", "2", "6", "12")
@@ -194,6 +190,13 @@ class TestOrderVerb:
         assert doc == {"orderable": False, "image": None, "reordered": None}
 
 
+def tridiagonal_from(doc) -> ExactMatrix:
+    """The dense inverse that invert's printed coefficients determine."""
+    return tncore.TridiagonalInverse(
+        tuple(map(Fraction, doc["sub_super"])), tuple(map(Fraction, doc["diagonal"]))
+    ).as_matrix()
+
+
 class TestInvertVerb:
     def test_tridiagonal_path(self, capsys):
         code, doc, _ = run_json(capsys, "invert", "2", "6", "12")
@@ -201,14 +204,15 @@ class TestInvertVerb:
         assert doc["method"] == "tridiagonal"
         assert doc["sub_super"] == ["-1/4", "-1/6"]
         assert doc["diagonal"] == ["3/4", "5/12", "1/6"]
-        inverse = ExactMatrix(doc["inverse"]["entries"])
-        assert inverse * gcd_matrix([2, 6, 12]) == ExactMatrix.identity(3)
+        assert doc["inverse"] is None
+        assert tridiagonal_from(doc) * gcd_matrix([2, 6, 12]) == ExactMatrix.identity(3)
 
     def test_solve_fallback_for_non_tn(self, capsys):
         code, doc, _ = run_json(capsys, "invert", "2", "3", "4")
         assert code == 0
         assert doc["method"] == "solve"
-        inverse = ExactMatrix(doc["inverse"]["entries"])
+        assert doc["sub_super"] is None and doc["diagonal"] is None
+        inverse = ExactMatrix(doc["inverse"])
         assert inverse * gcd_matrix([2, 3, 4]) == ExactMatrix.identity(3)
 
     def test_tridiagonal_for_two_elements(self, capsys):
@@ -217,8 +221,8 @@ class TestInvertVerb:
         assert doc["method"] == "tridiagonal"
         assert doc["sub_super"] == ["-1/10"]
         assert doc["diagonal"] == ["3/10", "1/5"]
-        inverse = ExactMatrix(doc["inverse"]["entries"])
-        assert inverse * gcd_matrix([4, 6]) == ExactMatrix.identity(2)
+        assert doc["inverse"] is None
+        assert tridiagonal_from(doc) * gcd_matrix([4, 6]) == ExactMatrix.identity(2)
 
 
 class TestPowerDivideVerb:
@@ -280,7 +284,7 @@ class TestInputHandling:
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n6\n12\n"))
         code, doc, _ = run_json(capsys, "gcd-matrix", "--input", "-")
         assert code == 0
-        assert doc["rows"] == 3
+        assert len(doc["entries"]) == 3
 
     def test_json_set_input(self, capsys, tmp_path):
         path = tmp_path / "set.json"
@@ -448,7 +452,7 @@ def _sample_reports():
         (setmodel.is_column_monotone(setmodel.pow_matrix([12, 6, 2])),
          ("monotone", "directions")),
         (divisibility.divide([1, 2, 3, 12]),
-         ("divides", "side", "witness", "violation", "method")),
+         ("divides", "witness", "violation", "method")),
     ]
 
 
@@ -477,8 +481,7 @@ class TestReportTypes:
     def test_keyword_construction(self):
         report = divisibility.DivisibilityReport(False, violation=(1, 2, Fraction(1, 2)))
         assert not report
-        assert report == (False, "Both", None, (1, 2, Fraction(1, 2)), "oracle")
+        assert report == (False, None, (1, 2, Fraction(1, 2)), "oracle")
         assert cli._json(report) == {
-            "divides": False, "side": "Both", "witness": None,
-            "violation": [1, 2, "1/2"], "method": "oracle",
+            "divides": False, "witness": None, "violation": [1, 2, "1/2"], "method": "oracle",
         }

@@ -118,3 +118,14 @@ def test_exit_code_contract(command):
     code, err = run(argv + fmt, document)
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_is_bad_input():
+    """JSON nested past the decoder's recursion limit is bad input (exit 2),
+    not a traceback that exits 1, the code of a negative verdict."""
+    deep = "[" * 100_000 + "]" * 100_000
+    for document in (f'{{"elements": {deep}}}', f'{{"primes": ["2"], "exponents": {deep}}}'):
+        for verb in ("divide", "pow"):
+            code, err = run([verb, "--input", "-"], document.encode())
+            assert code == 2, (verb, document[:30], err[-200:])
+            assert err.startswith("error: bad JSON input") and "Traceback" not in err

@@ -4,19 +4,18 @@ from itertools import combinations
 import pytest
 
 from gcdmat import exactmatrix
-from gcdmat.cli import _divisibility, _json
+from gcdmat.cli import _json
 from gcdmat.divisibility import (
     DivisibilityReport,
     _gcd_closed_candidates,
     divide,
     divide_oracle,
-    divide_power,
     search_gcd_closed_nondivisor,
 )
 from gcdmat.errors import InvalidArgumentError
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix
 from gcdmat.generate import SplitMix64, random_monotone_exponents
-from gcdmat.setmodel import OrderedSet, is_gcd_closed, reconstruct
+from gcdmat.setmodel import OrderedSet, is_gcd_closed, power_set, reconstruct
 from gcdmat.tncore import check_tn_triple, quotient_closed_form, single_pair_identities_hold
 
 from oracles import (
@@ -42,7 +41,6 @@ class TestDivideOracle:
     def test_worked_example(self):
         report = divide_oracle([2, 6, 12])
         assert report.divides
-        assert report.side == "Both"
         assert report.witness == ExactMatrix([[0, 0, 1], [3, -1, 1], [6, 0, 0]])
         assert report.violation is None
 
@@ -76,15 +74,14 @@ class TestDivideOracle:
             assert gcd_matrix(elems) * report.witness.transpose() == lcm_matrix(elems)
 
     def test_json_schema(self):
-        doc = _json(_divisibility(divide_oracle([1, 2, 3, 12])))
+        doc = _json(divide_oracle([1, 2, 3, 12]))
         assert doc == {
             "divides": False,
-            "side": "Both",
             "witness": None,
             "violation": [2, 1, "3/4"],
             "method": "oracle",
         }
-        doc = _json(_divisibility(divide_oracle([2, 6, 12])))
+        doc = _json(divide_oracle([2, 6, 12]))
         assert doc["divides"] is True
         assert doc["witness"] == [["0", "0", "1"], ["3", "-1", "1"], ["6", "0", "0"]]
         assert doc["violation"] is None
@@ -203,22 +200,24 @@ class TestDivide:
 
 
 class TestDividePower:
+    """divide on the elementwise power set, as the power-divide verb runs it."""
+
     def test_power_one_is_oracle(self):
         for elems in ([2, 6, 12], [2, 3, 4], [1, 2, 3, 12]):
-            assert divide_power(elems, 1).divides == divide_oracle(elems).divides
+            assert divide(power_set(elems, 1)).divides == divide_oracle(elems).divides
 
     def test_cube_of_chain(self):
-        report = divide_power([2, 6, 12], 3)
+        report = divide(power_set([2, 6, 12], 3))
         assert report.divides and report.method == "closed-form"
         assert report.witness * gcd_matrix([8, 216, 1728]) == lcm_matrix([8, 216, 1728])
 
     def test_six_element_powers(self):
         for e in (1, 2, 3):
-            assert divide_power(SIX_ELEMENT, e).divides
+            assert divide(power_set(SIX_ELEMENT, e)).divides
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
-            divide_power([2, 6], 0)
+            power_set([2, 6], 0)
 
     def test_monotone_orderable_sets_divide_for_all_small_powers(self):
         rng = SplitMix64(41)
@@ -226,7 +225,7 @@ class TestDividePower:
             s = reconstruct(random_monotone_exponents(rng, rng.randint(3, 5), max_exp=4))
             scrambled = shuffled(rng, s)
             for e in (1, 2, 3):
-                assert divide_power(scrambled, e).divides
+                assert divide(power_set(scrambled, e)).divides
 
 
 class TestPermutationInvariance:

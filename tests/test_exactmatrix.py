@@ -81,12 +81,12 @@ class TestExactMatrix:
     def test_json_round_trip(self):
         m = ExactMatrix([[2, Fraction(-1, 4)], [0, 7]])
         doc = _json(m)
-        assert doc == {"rows": 2, "cols": 2, "entries": [["2", "-1/4"], ["0", "7"]]}
-        assert ExactMatrix(doc["entries"]) == m
+        assert doc == [["2", "-1/4"], ["0", "7"]]
+        assert ExactMatrix(doc) == m
 
     def test_text_format(self):
         m = ExactMatrix([[Fraction(3, 4), -1], [0, Fraction(5)]])
-        assert render_text(_json(m)) == "rows: 2\ncols: 2\nentries:\n  3/4 -1\n  0 5"
+        assert render_text({"entries": _json(m)}) == "entries:\n  3/4 -1\n  0 5"
 
 
 class TestGcdLcmMatrices:
@@ -401,20 +401,16 @@ class TestCachedFactorization:
 
 
 def cleared_transpose(entries):
-    """The rows of a matrix's transpose cleared of denominators, and the
-    multiplier of each."""
-    rows, mults = [], []
-    for col in zip(*entries):
-        mult = lcm(*[Fraction(e).denominator for e in col])
-        rows.append([int(e * mult) for e in col])
-        mults.append(mult)
-    return rows, mults
+    """The rows of a matrix's transpose times one scale, the lcm of all its
+    denominators, and that scale."""
+    scale = lcm(*[Fraction(e).denominator for row in entries for e in row])
+    return [[int(e * scale) for e in col] for col in zip(*entries)], scale
 
 
 def general_lu(entries):
     """The cached LU the general Bareiss pass makes of a square matrix."""
-    rows, mults = cleared_transpose(entries)
-    return (rows, *fraction_free_lu(rows), mults)
+    rows, scale = cleared_transpose(entries)
+    return (rows, *fraction_free_lu(rows), scale)
 
 
 def symmetric_rows(rng, n, lo, hi):
@@ -452,10 +448,10 @@ class TestSymmetricElimination:
     def test_matches_the_general_pass(self):
         seen = {"matrices": 0, "symmetric": 0, "switched": 0, "swaps": 0, "zero_column": 0}
         for entries in self.families(SplitMix64(19)):
-            rows, mults = cleared_transpose(entries)
+            rows, scale = cleared_transpose(entries)
             symmetric = rows == [list(col) for col in zip(*rows)]
             pivots, swaps = fraction_free_lu(rows)
-            assert ExactMatrix(entries)._factorization() == (rows, pivots, swaps, mults), entries
+            assert ExactMatrix(entries)._factorization() == (rows, pivots, swaps, scale), entries
             zero_column = len(pivots) < len(entries)
             seen["matrices"] += 1
             seen["symmetric"] += symmetric
@@ -486,8 +482,9 @@ class TestSymmetricElimination:
 
 
 class TestSymmetricRouting:
-    """_factorization passes symmetric=True exactly when the cleared rows of
-    the transpose are symmetric."""
+    """_factorization passes symmetric=True exactly when the matrix is
+    symmetric: one scale clears the whole transpose, so its cleared rows are
+    symmetric exactly when the entries are."""
 
     @staticmethod
     def recorded(monkeypatch, run):
@@ -508,10 +505,10 @@ class TestSymmetricRouting:
             (gcd_matrix(random_distinct_set(SplitMix64(20), 12, 10**6)).entries, True),
             # singular: the zero pivot at step 1 switches to the general pass
             ([[1, 2, 3], [2, 4, 6], [3, 6, 10]], True),
-            # symmetric, but its cleared columns are [3, 2] and [1, 3]
-            ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], False),
-            # not symmetric, but its cleared columns are [1, 1] and [1, 2]
-            ([[1, Fraction(1, 2)], [1, 1]], True),
+            # rational and symmetric: the scale 6 clears it to [[3, 2], [2, 6]]
+            ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], True),
+            # not symmetric: the scale 2 clears its transpose to [[2, 2], [1, 2]]
+            ([[1, Fraction(1, 2)], [1, 1]], False),
             ([[1, 2], [3, 4]], False),
         ],
     )

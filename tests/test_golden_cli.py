@@ -3,18 +3,29 @@ JSON, against `golden_cli.json`.
 
 An output change must be deliberate: regenerate the file with
 `PYTHONPATH=src python tests/test_golden_cli.py` and state the change.
+
+`golden_cli_v1.json` keeps, byte for byte, the 26 cases that output schema
+v2 changed, as schema v1 printed them. Schema v2 dropped `side` (always
+"Both") from `divide` and `power-divide`, printed every matrix as its bare
+grid in place of {"rows", "cols", "entries"}, and left `invert`'s dense
+tridiagonal inverse out (`inverse: null`), since `sub_super` and `diagonal`
+define it. Re-expanding each v2 case must give the v1 bytes back, so only
+the shape changed, never a value.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gcdmat import cli
+from gcdmat.tncore import TridiagonalInverse
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_V1 = Path(__file__).with_name("golden_cli_v1.json")
 
 COMMANDS = [
     ("analyze", "330812181", "551353635", "7501410", "2976750", "5512500000", "18750000000"),
@@ -63,6 +74,42 @@ def golden():
 @pytest.mark.parametrize("argv", CASES, ids="_".join)
 def test_output_matches_golden(golden, argv):
     assert replay(argv) == golden[argv]
+
+
+def v1_document(verb: str, doc: dict) -> dict:
+    """A schema v2 report re-expanded to schema v1: the same values in v1's
+    shape."""
+
+    def matrix(grid):
+        return {"rows": len(grid), "cols": len(grid[0]), "entries": grid}
+
+    if verb in ("gcd-matrix", "lcm-matrix"):
+        return matrix(doc["entries"])
+    if verb == "invert":
+        if doc["method"] == "tridiagonal":
+            assert doc["inverse"] is None
+            tri = TridiagonalInverse(
+                tuple(map(Fraction, doc["sub_super"])), tuple(map(Fraction, doc["diagonal"]))
+            )
+            return {**doc, "inverse": matrix(cli._json(tri.as_matrix()))}
+        return {**doc, "inverse": matrix(doc["inverse"])}
+    assert verb in ("divide", "power-divide") and "side" not in doc
+    return {"divides": doc["divides"], "side": "Both", **doc}
+
+
+@pytest.mark.parametrize(
+    "v1", json.loads(GOLDEN_V1.read_text()), ids=lambda entry: "_".join(entry["argv"])
+)
+def test_schema_v2_reexpands_to_v1(golden, v1):
+    argv = tuple(v1["argv"])
+    v2 = golden[argv]
+    assert v2["exit"] == v1["exit"] and v2["stdout"] != v1["stdout"]
+    doc = json.loads(golden[(*argv[:-1], "json")]["stdout"])
+    if argv[-1] == "text":
+        assert cli.render_text(doc) + "\n" == v2["stdout"]
+        assert cli.render_text(v1_document(argv[0], doc)) + "\n" == v1["stdout"]
+    else:
+        assert json.dumps(v1_document(argv[0], doc), indent=2) + "\n" == v1["stdout"]
 
 
 if __name__ == "__main__":
