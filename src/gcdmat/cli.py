@@ -17,7 +17,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from . import divisibility, exactmatrix, generate, setmodel, tncore
-from .errors import Error, NotTnError
+from .errors import Error, NotTnError, excerpt
 from .exactmatrix import ExactMatrix
 from .setmodel import ExponentMatrix, OrderedSet
 
@@ -187,7 +187,7 @@ def _cmd_divide(args) -> tuple[dict, int]:
     report = divisibility.divide(s)
     verified = args.verify and report.divides
     if verified and not _witness_holds(s, report.witness):
-        raise CrossCheckFailure(f"witness * gcd != lcm on {list(s.elements)}")
+        raise CrossCheckFailure(f"witness * gcd != lcm on {excerpt(list(s.elements))}")
     doc = {**report._asdict(), "verified": verified}
     return doc, EXIT_OK if report.divides else EXIT_NEGATIVE
 
@@ -203,7 +203,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(tok, 10) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise Error(f"bad {flag} value: {text!r} (want comma-separated integers)") from None
+        raise Error(f"bad {flag} value: {excerpt(text)} (want comma-separated integers)") from None
 
 
 def _cmd_generate(args) -> tuple[dict, int]:

@@ -1,4 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `excerpt` for quoting a
+rejected value in their messages."""
+
+_EXCERPT_CHARS = 80
+
+
+def excerpt(value: object) -> str:
+    """repr(value) cut to about 80 characters, for an error message.
+
+    An integer too long to print in full is named by its bit length, never
+    converted: CPython's int -> str takes time quadratic in the length. A
+    list or tuple is quoted item by item until the excerpt is full; a dict,
+    and a list or tuple nested in one, shows as {...}, [...] or (...).
+    """
+    if isinstance(value, (list, tuple)):
+        parts: list[str] = []
+        for item in value:
+            if sum(map(len, parts)) > _EXCERPT_CHARS:
+                parts.append("...")
+                break
+            parts.append(_scalar_excerpt(item))
+        text = ", ".join(parts).join("[]" if isinstance(value, list) else "()")
+    else:
+        text = _scalar_excerpt(value)
+    return text if len(text) <= _EXCERPT_CHARS else text[:_EXCERPT_CHARS] + "..."
+
+
+def _scalar_excerpt(value: object) -> str:
+    if isinstance(value, dict):
+        return "{...}"
+    if isinstance(value, (list, tuple)):
+        return "[...]" if isinstance(value, list) else "(...)"
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 10**_EXCERPT_CHARS:
+        return f"<{'negative ' if value < 0 else ''}integer of {value.bit_length()} bits>"
+    return repr(value[: _EXCERPT_CHARS + 1] if isinstance(value, str) else value)
 
 
 class Error(Exception):

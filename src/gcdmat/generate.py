@@ -1,14 +1,16 @@
 """Named exponent-matrix patterns and a seeded generator for random ones.
 
 All randomness flows through SplitMix64 so that a single 64-bit seed fully
-determines every generated set, independent of platform or interpreter.
+determines every generated set, independent of platform or interpreter, and
+random matrices are built to meet their request, never drawn and rejected.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
-from .errors import InvalidArgumentError, InvalidSetError
+from .errors import InvalidArgumentError, excerpt
 from .numtheory import first_primes
 from .setmodel import ExponentMatrix, OrderedSet, reconstruct
 
@@ -78,7 +80,7 @@ def vandermonde_exponents(bases: Sequence[int]) -> list[list[int]]:
     if not bases:
         raise InvalidArgumentError("need at least one base")
     if any(b < 1 for b in bases):
-        raise InvalidArgumentError(f"bases must be positive, got {list(bases)}")
+        raise InvalidArgumentError(f"bases must be positive, got {excerpt(list(bases))}")
     n = len(bases)
     return [[b**j for j in range(n)] for b in bases]
 
@@ -105,23 +107,21 @@ def vandermonde_set(bases: Sequence[int], primes: Sequence[int] | None = None) -
     return reconstruct(vandermonde_matrix(bases, primes))
 
 
-_MAX_DRAW_ATTEMPTS = 10_000
-
-
 def random_monotone_exponents(
     rng: SplitMix64, n: int, max_exp: int = 6, max_primes: int = 4
 ) -> ExponentMatrix:
     """Draw a random column-monotone exponent matrix over the first k primes.
 
-    One draw: k = randint(1, max_primes); per column an up/down direction
-    (below(2), 0 meaning up); per column n exponents below(max_exp + 1),
-    sorted ascending and reversed for down columns. Draws with duplicate rows
-    or an all-zero column are rejected and redrawn.
-
-    Going down, each monotone column changes value at most max_exp times,
-    and distinct rows differ from their neighbours somewhere, so no draw has
-    more than max_primes * max_exp + 1 distinct rows; a larger n is refused
-    before any draw.
+    A column in [0, max_exp] changes value at most max_exp times going down,
+    and consecutive distinct rows differ somewhere, so an n above
+    max_primes * max_exp + 1 is refused before any draw. Any other n takes one
+    draw: k = randint(max(1, ceil((n - 1) / max_exp)), max_primes); each gap
+    between consecutive rows goes to a column (choice) that has risen fewer
+    than max_exp times, and it rises by one there, so rows are distinct; on
+    top of its r rises a column adds n sorted below(max_exp + 1 - r);
+    below(2) == 1 flips its values (e -> max_exp - e); a column left all zero
+    is dropped. A draw costs O(n * k). Every valid matrix can be drawn: flip
+    its falling columns and give each gap to a column that rises there.
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
@@ -132,24 +132,22 @@ def random_monotone_exponents(
             f"no column-monotone matrix with max_exp={max_exp}, max_primes={max_primes} "
             f"has {n} distinct rows (at most {max_primes * max_exp + 1})"
         )
-    for _ in range(_MAX_DRAW_ATTEMPTS):
-        k = rng.randint(1, max_primes)
-        columns = []
-        for _ in range(k):
-            down = rng.below(2) == 1
-            col = sorted(rng.below(max_exp + 1) for _ in range(n))
-            if down:
-                col.reverse()
+    k = rng.randint(max(1, -(-(n - 1) // max_exp)), max_primes)
+    room = [max_exp] * k  # rises each column may still take
+    risers = []  # risers[i]: the column that rises between rows i and i + 1
+    for _ in range(n - 1):
+        j = rng.choice([c for c in range(k) if room[c]])
+        room[j] -= 1
+        risers.append(j)
+    columns = []
+    for j in range(k):
+        base = sorted(rng.below(room[j] + 1) for _ in range(n))
+        col = [e + r for e, r in zip(base, accumulate((c == j for c in risers), initial=0))]
+        col = [max_exp - e for e in col] if rng.below(2) else col
+        if any(col):
             columns.append(col)
-        rows = [tuple(col[i] for col in columns) for i in range(n)]
-        if len(set(rows)) != n:
-            continue
-        if any(all(row[j] == 0 for row in rows) for j in range(k)):
-            continue
-        return ExponentMatrix(first_primes(k), rows)
-    raise InvalidSetError(
-        f"could not draw {n} distinct rows with max_exp={max_exp}, max_primes={max_primes}"
-    )
+    rows = [[col[i] for col in columns] for i in range(n)]
+    return ExponentMatrix(first_primes(len(columns)), rows)
 
 
 def random_monotone_set(

@@ -19,7 +19,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import numtheory
-from .errors import InvalidArgumentError, InvalidSetError
+from .errors import InvalidArgumentError, InvalidSetError, excerpt
 
 
 def _json_int(item: object, field: str) -> int:
@@ -31,7 +31,17 @@ def _json_int(item: object, field: str) -> int:
             return int(item, 10)
         except ValueError:
             pass
-    raise InvalidSetError(f'bad "{field}" entry: {item!r}')
+    raise InvalidSetError(f'bad "{field}" entry: {excerpt(item)}')
+
+
+def _first_repeat(items: Sequence) -> object:
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
 
 
 class OrderedSet:
@@ -45,11 +55,12 @@ class OrderedSet:
             raise InvalidSetError("an ordered set needs at least one element")
         for x in elems:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidSetError(f"element {x!r} is not an integer")
+                raise InvalidSetError(f"element {excerpt(x)} is not an integer")
             if x < 1:
-                raise InvalidSetError(f"element {x} is not positive")
+                raise InvalidSetError(f"element {excerpt(x)} is not positive")
         if len(set(elems)) != len(elems):
-            raise InvalidSetError(f"elements are not pairwise distinct: {elems}")
+            repeat = excerpt(_first_repeat(elems))
+            raise InvalidSetError(f"elements are not pairwise distinct: {repeat} repeats")
         self._elements = elems
 
     @property
@@ -100,7 +111,7 @@ class OrderedSet:
             try:
                 elems.append(int(tok, 10))
             except ValueError:
-                raise InvalidSetError(f"not a decimal integer: {tok!r}") from None
+                raise InvalidSetError(f"not a decimal integer: {excerpt(tok)}") from None
         return cls(elems)
 
     @classmethod
@@ -128,21 +139,23 @@ class ExponentMatrix:
         rows = tuple(tuple(row) for row in exponents)
         for a, b in zip(primes, primes[1:]):
             if a >= b:
-                raise InvalidSetError(f"primes not strictly increasing: {a} >= {b}")
+                raise InvalidSetError(
+                    f"primes not strictly increasing: {excerpt(a)} >= {excerpt(b)}"
+                )
         for p in primes:
             if not numtheory.is_prime(p):
-                raise InvalidSetError(f"{p} is not prime")
+                raise InvalidSetError(f"{excerpt(p)} is not prime")
         if not rows:
             raise InvalidSetError("exponent matrix needs at least one row")
         k = len(primes)
-        for row in rows:
+        for i, row in enumerate(rows, 1):
             if len(row) != k:
-                raise InvalidSetError(f"row {row} does not have {k} entries")
+                raise InvalidSetError(f"row {i} has {len(row)} entries, not {k}")
             for e in row:
                 if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                    raise InvalidSetError(f"bad exponent {e!r}")
+                    raise InvalidSetError(f"bad exponent {excerpt(e)}")
         if len(set(rows)) != len(rows):
-            raise InvalidSetError(f"duplicate exponent rows in {rows}")
+            raise InvalidSetError(f"duplicate exponent rows: {excerpt(list(_first_repeat(rows)))}")
         for j in range(k):
             if all(row[j] == 0 for row in rows):
                 raise InvalidSetError(f"prime {primes[j]} divides no element (zero column)")

@@ -232,8 +232,6 @@ def tridiagonal_inverse(s: OrderedSet | Iterable[int]) -> TridiagonalInverse:
         factor = last[i - 1] * first[i + 1] - last[i + 1] * first[i - 1]
         b.append(-Fraction(factor, g1n) * a[i - 1] * a[i])
     b.append(-Fraction(first[n - 2], g1n) * a[n - 2])
-    if any(v == 0 for v in a):
-        raise InternalConsistencyError("superdiagonal coefficients must be nonzero")
     return TridiagonalInverse(tuple(a), tuple(b))
 
 

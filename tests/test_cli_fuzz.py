@@ -12,9 +12,12 @@ import json
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcdmat import cli
+from gcdmat.errors import InvalidSetError, excerpt
+from gcdmat.setmodel import OrderedSet
 
 SET_VERBS = ("analyze", "gcd-matrix", "lcm-matrix", "pow", "order", "invert", "divide",
              "power-divide")
@@ -129,3 +132,45 @@ def test_deeply_nested_json_is_bad_input():
             code, err = run([verb, "--input", "-"], document.encode())
             assert code == 2, (verb, document[:30], err[-200:])
             assert err.startswith("error: bad JSON input") and "Traceback" not in err
+
+
+LONG = 100_000
+LONG_VALUES = [
+    (["divide", "--input", "-"], json.dumps({"elements": ["2", "x" * LONG]}),
+     'bad "elements" entry'),
+    (["divide", "--input", "-"], "2 " + "y" * LONG, "not a decimal integer"),
+    (["divide", "--input", "-"], "-" + "9" * 5000, "is not positive"),
+    (["divide", "--input", "-"], f"{'9' * 5000} 2 {'9' * 5000}", "not pairwise distinct"),
+    (["divide", "--input", "-"], " ".join(map(str, [*range(2, LONG), 3])), "distinct: 3 repeats"),
+    (["pow", "--input", "-"], json.dumps({"primes": ["2"], "exponents": [["9" * LONG]]}),
+     "bad exponent"),
+    (["pow", "--input", "-"], json.dumps({"primes": [2, 3], "exponents": [[1, 2] * LONG]}),
+     f"row 1 has {2 * LONG} entries, not 2"),
+    (["pow", "--input", "-"], json.dumps({"primes": [2], "exponents": [[1]] * LONG}),
+     "duplicate exponent rows: [1]"),
+    (["pow", "--input", "-"], json.dumps({"primes": ["9" * 5000, 2], "exponents": [[1, 1]]}),
+     "primes not strictly increasing"),
+    (["generate", "--pattern", "vandermonde", "--bases", "1,2," + "z" * LONG], None,
+     "bad --bases value"),
+    (["generate", "--pattern", "vandermonde", "--bases", ",".join(["0"] * LONG)], None,
+     "bases must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv, document, message", LONG_VALUES, ids=lambda v: str(v)[:24])
+def test_input_errors_quote_an_excerpt(argv, document, message):
+    """A rejected value is quoted in about 80 characters, and a long integer
+    by its bit length, never converted to decimal, whatever its size."""
+    code, err = run(argv, document and document.encode())
+    assert code == 2 and message in err, err[:300]
+    assert len(err) < 200, err[:300]
+
+
+def test_excerpt_names_a_long_integer_without_converting_it():
+    # outside the CLI Python's int/str digit limit stands, so str() would raise
+    with pytest.raises(InvalidSetError, match=r"element <negative integer of 16610 bits>"):
+        OrderedSet([-(10**5000)])
+    text = excerpt([10**5000, "a" * 200, [1]])
+    assert text.startswith("[<integer of 16610 bits>, 'aaa") and text.endswith("a...")
+    assert len(text) == 83
+    assert excerpt(([1], {"a": 1}, "b", ())) == "([...], {...}, 'b', (...))"

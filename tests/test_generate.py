@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from gcdmat.errors import InvalidArgumentError
@@ -13,7 +16,7 @@ from gcdmat.generate import (
     vandermonde_set,
 )
 from gcdmat.setmodel import OrderedSet, is_column_monotone, pow_matrix
-from gcdmat.tncore import check_tn_triple
+from gcdmat.tncore import check_tn_triple, single_pair_identities_hold
 
 
 class TestSplitMix64:
@@ -122,6 +125,27 @@ class TestRandomMonotone:
         m = random_monotone_exponents(SplitMix64(5), 2, max_exp=1, max_primes=1)
         assert sorted(m.exponents) == [(0,), (1,)]
 
+    @pytest.mark.parametrize("max_exp", range(1, 7))
+    @pytest.mark.parametrize("max_primes", range(1, 5))
+    def test_every_request_at_the_bound_is_met(self, max_exp, max_primes):
+        n = max_primes * max_exp + 1
+        for seed in range(3):
+            m = random_monotone_exponents(SplitMix64(seed), n, max_exp, max_primes)
+            assert m.n == n and m.k == max_primes and is_column_monotone(m)
+            assert all(e <= max_exp for row in m.exponents for e in row)
+
+    def test_draw_cost_does_not_depend_on_max_exp(self):
+        start = time.perf_counter()
+        m = random_monotone_exponents(SplitMix64(7), 5, max_exp=10**9)
+        assert time.perf_counter() - start < 0.05
+        assert is_column_monotone(m) and max(max(row) for row in m.exponents) <= 10**9
+
+    def test_thousand_rows_are_drawn_at_once(self):
+        start = time.perf_counter()
+        s = random_monotone_set(SplitMix64(1000), 1000, max_exp=40, max_primes=30)
+        assert time.perf_counter() - start < 1.0
+        assert len(s) == 1000 and single_pair_identities_hold(s)
+
     def test_parameter_validation(self):
         rng = SplitMix64(5)
         with pytest.raises(ValueError):
@@ -133,3 +157,54 @@ class TestRandomMonotone:
 def test_singleton_set_draw():
     s = random_monotone_set(SplitMix64(2), 1)
     assert isinstance(s, OrderedSet) and len(s) == 1
+
+
+class Scripted(SplitMix64):
+    """A SplitMix64 whose below() answers come from a list, so that replaying
+    every list in turn walks every outcome of a draw. randint and choice are
+    derived from below, as in SplitMix64."""
+
+    def __init__(self, path: list[int]):
+        self.path, self.sizes = path, []
+
+    def below(self, n: int) -> int:
+        if len(self.sizes) == len(self.path):
+            self.path.append(0)
+        self.sizes.append(n)
+        return self.path[len(self.sizes) - 1]
+
+
+def every_draw(n, max_exp, max_primes):
+    """Each outcome of random_monotone_exponents, once per path of answers."""
+    path: list[int] = []
+    while True:
+        rng = Scripted(path)
+        yield random_monotone_exponents(rng, n, max_exp, max_primes).exponents
+        del path[len(rng.sizes):]
+        while path and path[-1] == rng.sizes[len(path) - 1] - 1:
+            path.pop()
+        if not path:
+            return
+        path[-1] += 1
+
+
+def every_valid_matrix(n, max_exp, max_primes):
+    """Every column-monotone n-row matrix with entries <= max_exp, distinct
+    rows, no zero column and 1..max_primes columns."""
+    columns = [
+        col
+        for col in itertools.product(range(max_exp + 1), repeat=n)
+        if any(col) and (list(col) == sorted(col) or list(col) == sorted(col, reverse=True))
+    ]
+    for k in range(1, max_primes + 1):
+        for cols in itertools.product(columns, repeat=k):
+            rows = tuple(zip(*cols))
+            if len(set(rows)) == n:
+                yield rows
+
+
+@pytest.mark.parametrize("grid", [(3, 1, 2), (3, 2, 2), (4, 2, 2), (2, 2, 3), (4, 1, 3)])
+def test_draws_cover_exactly_the_valid_matrices(grid):
+    """Every outcome of the draw, walked exhaustively, is a valid matrix, and
+    every valid matrix is an outcome."""
+    assert set(every_draw(*grid)) == set(every_valid_matrix(*grid))
