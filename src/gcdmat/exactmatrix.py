@@ -3,7 +3,11 @@
 An integral entry is stored as an ``int`` and only a non-integral one as a
 ``fractions.Fraction`` (denominator above 1), so every operation here is
 exact and an integer matrix holds no ``Fraction`` at all; there is no
-floating point anywhere in this module.
+floating point anywhere in this module. The constructor brings outside
+entries to that form; rows this module built from entries already in it
+(gcds, lcms, solved rows, rows of another matrix) go through one private
+builder, ExactMatrix._built, which checks no entry again. gcd_matrix and
+lcm_matrix compute each entry above the diagonal once and mirror it.
 
 Determinants, positive definiteness and the solves read one fraction-free
 integer LU (Bareiss, keeping each step's multipliers and row swaps) of the
@@ -13,7 +17,9 @@ the diagonal only, which halves the work and leaves the same LU.
 A solve replays the recorded swaps, elimination steps and back-substitution
 on one right-hand side at a time: solve_right returns every row of X, and
 integral_solve_right solves X one row at a time with solve_right and stops
-after the first row that holds a non-integral entry.
+after the first row that holds a non-integral entry. When the LU needed no
+clearing scale, an all-int right-hand side enters the integer replay as it
+is.
 
 Total nonnegativity of a symmetric nonsingular matrix is decided by
 fraction-free Neville elimination (is_totally_nonnegative), in one
@@ -68,6 +74,19 @@ class ExactMatrix:
         self._lu: _Factorization | None = None
 
     @classmethod
+    def _built(cls, rows: Iterable[Iterable[Entry]]) -> "ExactMatrix":
+        """A matrix of rows this module built, with no entry checked again.
+
+        Every entry must already be normal (an int, or a Fraction with a
+        denominator above 1) and the rows of one nonzero width: gcds, lcms,
+        _ratio outputs, rows of another ExactMatrix. Sums of products, as in
+        __mul__, can give Fraction(k, 1) and go through the constructor."""
+        m = object.__new__(cls)
+        m._entries = tuple([tuple(row) for row in rows])
+        m._lu = None
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -111,7 +130,7 @@ class ExactMatrix:
         )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self._entries))
+        return ExactMatrix._built(zip(*self._entries))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -134,16 +153,27 @@ class ExactMatrix:
         return self._lu
 
 
+def _mirrored(x: tuple[int, ...], f) -> ExactMatrix:
+    """The symmetric matrix with entry (i, j) = f(x_i, x_j), for an f with
+    f(a, a) = a: each row starts filled with its diagonal entry, and each
+    entry above the diagonal is computed once and copied to its mirror."""
+    n = len(x)
+    rows = [[a] * n for a in x]
+    for i, a in enumerate(x):
+        row = rows[i]
+        for j in range(i + 1, n):
+            row[j] = rows[j][i] = f(a, x[j])
+    return ExactMatrix._built(rows)
+
+
 def gcd_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = gcd(x_i, x_j)."""
-    s = OrderedSet.coerce(s)
-    return ExactMatrix([[_gcd(a, b) for b in s] for a in s])
+    return _mirrored(OrderedSet.coerce(s).elements, _gcd)
 
 
 def lcm_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = lcm(x_i, x_j)."""
-    s = OrderedSet.coerce(s)
-    return ExactMatrix([[_lcm(a, b) for b in s] for a in s])
+    return _mirrored(OrderedSet.coerce(s).elements, _lcm)
 
 
 def _integer_rows(rows: Iterable[Iterable[Entry]]) -> tuple[list[list[int]], int]:
@@ -238,13 +268,17 @@ def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> list[Entry]:
     """x with x * a = b_row, from the LU of a's transpose.
 
     b_row, times the scale that cleared a and cleared to integers (its
-    factor c), is the right-hand side of a^T x = b_row. It replays the LU's
+    factor c), is the right-hand side of a^T x = b_row; with scale 1 an
+    all-int b_row is already that, with c = 1. It replays the LU's
     swaps (a swap moves and negates a row's stored multipliers with it, so
     every swap comes before the first step), then each elimination step with
     the multiplier stored below the diagonal. Fraction-free back-substitution
     gives y = d * c * x, with d the last pivot."""
     rows, pivots, swaps, scale = lu
-    [rhs], c = _integer_rows([[e * scale for e in b_row]])
+    if scale == 1 and Fraction not in map(type, b_row):
+        rhs, c = list(b_row), 1
+    else:
+        [rhs], c = _integer_rows([[e * scale for e in b_row]])
     for k, s in swaps:
         rhs[k], rhs[s] = -rhs[s], rhs[k]
     n = len(rows)
@@ -277,7 +311,7 @@ def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     lu = a._factorization()
     if lu[1][-1] == 0:
         raise SingularMatrixError(f"matrix is singular (rank below {a.rows})")
-    return ExactMatrix([_solve_row(lu, row) for row in b])
+    return ExactMatrix._built([_solve_row(lu, row) for row in b])
 
 
 def integral_solve_right(
@@ -293,12 +327,12 @@ def integral_solve_right(
     solve_right, and rows after row i are never solved."""
     solution = []
     for i, row in enumerate(b, 1):
-        x = solve_right(a, ExactMatrix([row]))[0]
+        x = solve_right(a, ExactMatrix._built([row]))[0]
         for j, entry in enumerate(x, 1):
             if type(entry) is not int:
                 return None, (i, j, entry)
         solution.append(x)
-    return ExactMatrix(solution), None
+    return ExactMatrix._built(solution), None
 
 
 def is_positive_definite(m: ExactMatrix) -> bool:

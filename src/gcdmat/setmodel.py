@@ -19,7 +19,16 @@ from math import gcd, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import numtheory
-from .errors import InvalidArgumentError, InvalidSetError, excerpt
+from .errors import _EXCERPT_CHARS, InvalidArgumentError, InvalidSetError, excerpt
+
+
+def _decimal(text: str, what: str) -> int:
+    """int(text, 10), with text of a negative number longer than an excerpt
+    refused as it stands: no element or prime is negative, and CPython's
+    str -> int takes time quadratic in the length."""
+    if len(text) > _EXCERPT_CHARS and text.lstrip().startswith("-"):
+        raise InvalidSetError(f"{what} {excerpt(text)} is not positive")
+    return int(text, 10)
 
 
 def _json_int(item: object, field: str) -> int:
@@ -28,7 +37,7 @@ def _json_int(item: object, field: str) -> int:
         return item
     if isinstance(item, str):
         try:
-            return int(item, 10)
+            return _decimal(item, f'"{field}" entry')
         except ValueError:
             pass
     raise InvalidSetError(f'bad "{field}" entry: {excerpt(item)}')
@@ -109,7 +118,7 @@ class OrderedSet:
         elems = []
         for tok in tokens:
             try:
-                elems.append(int(tok, 10))
+                elems.append(_decimal(tok, "element"))
             except ValueError:
                 raise InvalidSetError(f"not a decimal integer: {excerpt(tok)}") from None
         return cls(elems)

@@ -6,8 +6,9 @@ enumeration and by L1 distance between trial-division exponent rows,
 coprime divisor chains by union-find over all pairs, factorizations by
 plain trial division, totients by counting, the lcm-matrix quotient by
 Gauss-Jordan elimination over Fractions, the fraction-free LU by the
-general Bareiss pass over the whole trailing block, and the classical
-determinant product formulas evaluated directly from their definitions.
+general Bareiss pass over the whole trailing block, the gcd and lcm
+matrices by computing all n^2 entries, and the classical determinant
+product formulas evaluated directly from their definitions.
 
 Total nonnegativity has two oracles here that the library does not ship:
 column monotonicity of the exponent grid (check_tn_monotone) and the
@@ -19,12 +20,20 @@ of TN sets with plain gcds.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import gcd
+from math import gcd, lcm
 
 from gcdmat.errors import InvalidArgumentError, NotTnError
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import ExponentMatrix, OrderedSet, reconstruct
 from gcdmat.tncore import TnVerdict
+
+
+def gcd_table(x) -> list[list[int]]:
+    return [[gcd(a, b) for b in x] for a in x]
+
+
+def lcm_table(x) -> list[list[int]]:
+    return [[lcm(a, b) for b in x] for a in x]
 
 
 def cofactor_determinant(rows) -> Fraction:

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -164,6 +165,19 @@ def test_input_errors_quote_an_excerpt(argv, document, message):
     code, err = run(argv, document and document.encode())
     assert code == 2 and message in err, err[:300]
     assert len(err) < 200, err[:300]
+
+
+def test_a_long_negative_element_is_refused_before_conversion():
+    """CPython's str -> int is quadratic in the length (a 1,000,000-digit
+    token took seconds), so a long token starting with "-" is refused by its
+    text; a short one is still converted and named as a number."""
+    negative = "-" + "9" * 10**6
+    for document in (f"2 {negative}", json.dumps({"elements": [2, negative]})):
+        start = time.perf_counter()
+        code, err = run(["divide", "--input", "-"], document.encode())
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and "is not positive" in err and len(err) < 1000, err[:300]
+    assert run(["divide", "--input", "-"], b"2 -5") == (2, "error: element -5 is not positive\n")
 
 
 def test_excerpt_names_a_long_integer_without_converting_it():

@@ -34,6 +34,8 @@ from oracles import (
     first_negative_minor_lu,
     first_non_integral,
     fraction_free_lu,
+    gcd_table,
+    lcm_table,
     random_distinct_set,
     totient_product,
 )
@@ -107,6 +109,15 @@ class TestGcdLcmMatrices:
                 for j in range(len(s)):
                     lo, hi = sorted((s[i], s[j]))
                     assert g[i][j] <= lo <= hi <= l[i][j]
+
+    def test_mirrored_builds_match_the_literal_tables(self):
+        rng = SplitMix64(7)
+        sets = [random_distinct_set(rng, n, 10**4) for n in (1, 1, *range(2, 41))]
+        sets += [random_distinct_set(rng, rng.randint(1, 12), 2**80) for _ in range(20)]
+        sets += [OrderedSet([2**64 + 1, 2**65, 3 * 2**70, 6 * 2**64])]
+        for s in sets:
+            assert [list(row) for row in gcd_matrix(s)] == gcd_table(s)
+            assert [list(row) for row in lcm_matrix(s)] == lcm_table(s)
 
     def test_hadamard_identity(self):
         rng = SplitMix64(6)
@@ -352,6 +363,54 @@ class TestIntegralSolveRight:
             x = solve_right(a, b)
             violation = first_non_integral(x)
             assert integral_solve_right(a, b) == ((None, violation) if violation else (x, None))
+
+
+def assert_normal(m):
+    """m is what the constructor would make of its own entries: a tuple of
+    tuples of ints and Fractions with a denominator above 1."""
+    rebuilt = ExactMatrix(m.entries)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert type(m.entries) is tuple
+    for row in m:
+        assert type(row) is tuple
+        for e in row:
+            assert type(e) is int or (type(e) is Fraction and e.denominator > 1), repr(e)
+
+
+class TestInternalBuilds:
+    """Matrices the module builds without the constructor's entry pass must
+    hold what the constructor would have made of the same entries."""
+
+    def test_gcd_lcm_matrices_and_transposes(self):
+        rng = SplitMix64(23)
+        for _ in range(40):
+            s = random_distinct_set(rng, rng.randint(1, 8), 2**70)
+            for m in (gcd_matrix(s), lcm_matrix(s)):
+                assert_normal(m)
+                assert_normal(m.transpose())
+
+    def test_solves(self):
+        rng = SplitMix64(29)
+        cases = [(ExactMatrix(TestIntegralSolveRight.A), 3)]
+        cases += [(gcd_matrix(random_distinct_set(rng, n, 300)), n) for n in (1, 2, 3, 4, 5, 8)]
+        for a, n in cases:
+            rhs = [
+                [rng.randint(-30, 30) for _ in range(n)],
+                [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(n)],
+            ]
+            integral = ExactMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)])
+            for b in (*(ExactMatrix([row]) for row in rhs), ExactMatrix(rhs), integral * a):
+                x = solve_right(a, b)
+                assert_normal(x)
+                assert_normal(x.transpose())
+                assert x * a == b
+                witness, violation = integral_solve_right(a, b)
+                if witness is not None:
+                    assert_normal(witness)
+                    assert witness == x
+                else:
+                    assert violation == first_non_integral(x)
+            assert integral_solve_right(a, integral * a) == (integral, None)
 
 
 class TestCachedFactorization:
