@@ -5,21 +5,26 @@ An integral entry is stored as an ``int`` and only a non-integral one as a
 exact and an integer matrix holds no ``Fraction`` at all; there is no
 floating point anywhere in this module. The constructor brings outside
 entries to that form; rows this module built from entries already in it
-(gcds, lcms, solved rows, rows of another matrix) go through one private
-builder, ExactMatrix._built, which checks no entry again. gcd_matrix and
-lcm_matrix compute each entry above the diagonal once and mirror it.
+(gcds, lcms, solved rows, rows of another matrix) are wrapped as they are,
+as a tuple of tuples, by one private builder, ExactMatrix._built, which
+checks and copies no entry. gcd_matrix and lcm_matrix compute each entry
+above the diagonal once and mirror it.
 
 Determinants, positive definiteness and the solves read one fraction-free
 integer LU (Bareiss, keeping each step's multipliers and row swaps) of the
 matrix's transpose, made on first use and kept with the immutable matrix.
 A symmetric matrix, such as every gcd matrix, is eliminated on and above
-the diagonal only, which halves the work and leaves the same LU.
+the diagonal only, which halves the work and leaves the same LU; it
+updates entry by entry in a scalar loop, which costs less than building a
+list per row.
 A solve replays the recorded swaps, elimination steps and back-substitution
 on one right-hand side at a time: solve_right returns every row of X, and
-integral_solve_right solves X one row at a time with solve_right and stops
+integral_solve_right solves X one row at a time with solve_right, passing
+each row of b as a one-row matrix that wraps the row as it is, and stops
 after the first row that holds a non-integral entry. When the LU needed no
 clearing scale, an all-int right-hand side enters the integer replay as it
-is.
+is, and a solved entry that divides exactly stays an int, with no
+Fraction made for it.
 
 Total nonnegativity of a symmetric nonsingular matrix is decided by
 fraction-free Neville elimination (is_totally_nonnegative), in one
@@ -74,15 +79,16 @@ class ExactMatrix:
         self._lu: _Factorization | None = None
 
     @classmethod
-    def _built(cls, rows: Iterable[Iterable[Entry]]) -> "ExactMatrix":
-        """A matrix of rows this module built, with no entry checked again.
+    def _built(cls, rows: tuple[tuple[Entry, ...], ...]) -> "ExactMatrix":
+        """A matrix of rows this module built, taken as they are.
 
-        Every entry must already be normal (an int, or a Fraction with a
-        denominator above 1) and the rows of one nonzero width: gcds, lcms,
-        _ratio outputs, rows of another ExactMatrix. Sums of products, as in
-        __mul__, can give Fraction(k, 1) and go through the constructor."""
+        rows is a tuple of tuples of one nonzero width whose every entry is
+        already normal (an int, or a Fraction with a denominator above 1):
+        gcds, lcms, solved rows, rows of another ExactMatrix. Sums of
+        products, as in __mul__, can give Fraction(k, 1) and go through the
+        constructor."""
         m = object.__new__(cls)
-        m._entries = tuple([tuple(row) for row in rows])
+        m._entries = rows
         m._lu = None
         return m
 
@@ -130,7 +136,7 @@ class ExactMatrix:
         )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._built(zip(*self._entries))
+        return ExactMatrix._built(tuple(zip(*self._entries)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -163,7 +169,7 @@ def _mirrored(x: tuple[int, ...], f) -> ExactMatrix:
         row = rows[i]
         for j in range(i + 1, n):
             row[j] = rows[j][i] = f(a, x[j])
-    return ExactMatrix._built(rows)
+    return ExactMatrix._built(tuple([tuple(row) for row in rows]))
 
 
 def gcd_matrix(s: OrderedSet | Iterable[int]) -> ExactMatrix:
@@ -233,7 +239,8 @@ def _bareiss(
             for i in range(k + 1, n):
                 row_i = rows[i]
                 row_i[k] = head = row_k[i]
-                row_i[i:] = [(a * pivot - head * b) // prev for a, b in zip(row_i[i:], row_k[i:])]
+                for j in range(i, n):
+                    row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
         else:
             tail_k = row_k[k + 1:]
             for row_i in rows[k + 1:]:
@@ -264,7 +271,7 @@ def determinant(m: ExactMatrix) -> Entry:
     return _ratio(pivots[-1], scale**m.rows)
 
 
-def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> list[Entry]:
+def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> tuple[Entry, ...]:
     """x with x * a = b_row, from the LU of a's transpose.
 
     b_row, times the scale that cleared a and cleared to integers (its
@@ -273,7 +280,8 @@ def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> list[Entry]:
     swaps (a swap moves and negates a row's stored multipliers with it, so
     every swap comes before the first step), then each elimination step with
     the multiplier stored below the diagonal. Fraction-free back-substitution
-    gives y = d * c * x, with d the last pivot."""
+    gives y = d * c * x, with d the last pivot; each entry of x is an exact
+    int quotient where d * c divides it, and a Fraction only where not."""
     rows, pivots, swaps, scale = lu
     if scale == 1 and Fraction not in map(type, b_row):
         rhs, c = list(b_row), 1
@@ -294,7 +302,7 @@ def _solve_row(lu: _Factorization, b_row: Iterable[Entry]) -> list[Entry]:
         row = rows[i]
         y.append((d * rhs[i] - sum(map(mul, row[:i:-1], y))) // row[i])
     dc = d * c
-    return [_ratio(v, dc) for v in reversed(y)]
+    return tuple([v // dc if v % dc == 0 else Fraction(v, dc) for v in reversed(y)])
 
 
 def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -302,16 +310,17 @@ def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
     Row r of X solves a^T x = b[r]: each row of b is replayed on its own
     through a's cached LU (see _solve_row), so X is the list of those rows."""
-    if not a.is_square():
+    n = len(a._entries)
+    if len(a._entries[0]) != n:
         raise DimensionMismatchError(f"coefficient matrix must be square, got {a.rows}x{a.cols}")
-    if b.cols != a.rows:
+    if len(b._entries[0]) != n:
         raise DimensionMismatchError(
             f"cannot solve X*a=b with a {a.rows}x{a.cols} and b {b.rows}x{b.cols}"
         )
     lu = a._factorization()
     if lu[1][-1] == 0:
-        raise SingularMatrixError(f"matrix is singular (rank below {a.rows})")
-    return ExactMatrix._built([_solve_row(lu, row) for row in b])
+        raise SingularMatrixError(f"matrix is singular (rank below {n})")
+    return ExactMatrix._built(tuple([_solve_row(lu, row) for row in b._entries]))
 
 
 def integral_solve_right(
@@ -326,13 +335,13 @@ def integral_solve_right(
     solve_right call, so a per-function profile counts the solve under
     solve_right, and rows after row i are never solved."""
     solution = []
-    for i, row in enumerate(b, 1):
-        x = solve_right(a, ExactMatrix._built([row]))[0]
-        for j, entry in enumerate(x, 1):
-            if type(entry) is not int:
-                return None, (i, j, entry)
+    for i, row in enumerate(b._entries, 1):
+        x = solve_right(a, ExactMatrix._built((row,)))._entries[0]
+        if Fraction in map(type, x):
+            j = list(map(type, x)).index(Fraction)
+            return None, (i, j + 1, x[j])
         solution.append(x)
-    return ExactMatrix._built(solution), None
+    return ExactMatrix._built(tuple(solution)), None
 
 
 def is_positive_definite(m: ExactMatrix) -> bool:

@@ -30,7 +30,9 @@ _TRIAL_LIMIT_SQUARED = _TRIAL_LIMIT * _TRIAL_LIMIT
 _LONG = 1 << 2048
 _BLOCK = 64
 
-# Witnesses that make Miller-Rabin deterministic below 3.3e24 (covers 2**64).
+# Witnesses that make Miller-Rabin deterministic below psi_12 =
+# 318,665,857,834,031,151,167,461 (about 3.19e23, so they cover 2**64), the
+# least strong pseudoprime to all twelve.
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS_ABOVE_64_BITS = 40
 

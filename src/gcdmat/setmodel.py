@@ -63,7 +63,8 @@ class OrderedSet:
         if not elems:
             raise InvalidSetError("an ordered set needs at least one element")
         for x in elems:
-            if not isinstance(x, int) or isinstance(x, bool):
+            # a plain int skips the isinstance calls
+            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
                 raise InvalidSetError(f"element {excerpt(x)} is not an integer")
             if x < 1:
                 raise InvalidSetError(f"element {excerpt(x)} is not positive")
@@ -294,9 +295,8 @@ def _lcm_over_gcd(u: int, v: int) -> int:
 
 def is_gcd_closed(s: OrderedSet | Iterable[int]) -> bool:
     """True when every pairwise gcd is itself a member."""
-    s = OrderedSet.coerce(s)
-    members = set(s)
-    return all(gcd(a, b) in members for a, b in itertools.combinations(s, 2))
+    x = OrderedSet.coerce(s).elements
+    return all(map(set(x).__contains__, itertools.starmap(gcd, itertools.combinations(x, 2))))
 
 
 def is_factor_closed(s: OrderedSet | Iterable[int]) -> bool:

@@ -15,14 +15,15 @@ column monotonicity of the exponent grid (check_tn_monotone) and the
 exhaustive minors (first_negative_minor by cofactors, and
 first_negative_minor_lu by the fraction-free LU, which is fast enough for
 n <= 8). check_quadruple_identity and lcm_from_gcds restate two identities
-of TN sets with plain gcds.
+of TN sets with plain gcds. ordered_set_error restates OrderedSet's
+element-by-element validation and its messages.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 
-from gcdmat.errors import InvalidArgumentError, NotTnError
+from gcdmat.errors import InvalidArgumentError, NotTnError, excerpt
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import ExponentMatrix, OrderedSet, reconstruct
 from gcdmat.tncore import TnVerdict
@@ -336,6 +337,26 @@ def filtered_totient_product(elements) -> int:
             if not any(earlier % d == 0 for earlier in elems[:i])
         )
     return result
+
+
+def ordered_set_error(elements) -> str | None:
+    """The message OrderedSet's element-by-element validator gives for these
+    elements, or None when it accepts them: the first element that is not an
+    int (bools excluded), else the first below 1, else the first repeat."""
+    elems = tuple(elements)
+    if not elems:
+        return "an ordered set needs at least one element"
+    for x in elems:
+        if not isinstance(x, int) or isinstance(x, bool):
+            return f"element {excerpt(x)} is not an integer"
+        if x < 1:
+            return f"element {excerpt(x)} is not positive"
+    seen = set()
+    for x in elems:
+        if x in seen:
+            return f"elements are not pairwise distinct: {excerpt(x)} repeats"
+        seen.add(x)
+    return None
 
 
 def gcd_closure(elements) -> tuple[int, ...]:

@@ -316,6 +316,29 @@ class TestSearch:
                 found += result is not None
         assert found > 0
 
+    def test_census_reproduces_the_published_counts(self):
+        """The library's own stream and oracle, on every gcd-closed candidate
+        of sizes 3-5 up to 300: the counts the benchmark's independent
+        elimination pins. A seeded tenth is also checked against the
+        Fraction Gauss-Jordan quotient."""
+        rng = SplitMix64(26)
+        closed, failing, compared = {}, {}, 0
+        for n in (3, 4, 5):
+            closed[n] = failing[n] = 0
+            for candidate in _gcd_closed_candidates(n, 300):
+                report = divide_oracle(candidate)
+                closed[n] += 1
+                failing[n] += not report.divides
+                if rng.below(10) == 0:
+                    quotient = rational_quotient(candidate)
+                    assert report.violation == first_non_integral(quotient), candidate
+                    if report.divides:
+                        assert report.witness == ExactMatrix(quotient), candidate
+                    compared += 1
+        assert closed == {3: 3099, 4: 5501, 5: 8036}
+        assert failing == {3: 0, 4: 980, 5: 3494}
+        assert compared > 1000
+
     def test_skipped_candidates_divide(self):
         # the search stops at its first witness, so check the skip's premise
         # over whole candidate streams too

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -520,6 +521,27 @@ class TestSymmetricElimination:
         assert seen["matrices"] >= 5000
         assert seen["symmetric"] >= 2500 and seen["switched"] >= 500, seen
         assert seen["swaps"] >= 500 and seen["zero_column"] >= 20, seen
+
+    def test_every_small_symmetric_3x3(self):
+        """All 5**6 symmetric 3x3 matrices with entries in -2..2, zero pivots
+        and row swaps included: the same LU, determinant and solves."""
+        b = ExactMatrix([[1, 0, 0], [2, -1, 3]])
+        seen = {"singular": 0, "swaps": 0}
+        for a, b_, c, d, e, f in product(range(-2, 3), repeat=6):
+            entries = [[a, b_, c], [b_, d, e], [c, e, f]]
+            general = general_lu(entries)
+            m = ExactMatrix(entries)
+            assert m._factorization() == general, entries
+            det = determinant(m)
+            assert det == general[1][-1], entries
+            if det == 0:
+                seen["singular"] += 1
+                with pytest.raises(SingularMatrixError):
+                    solve_right(m, b)
+            else:
+                assert solve_right(m, b) * m == b, entries
+            seen["swaps"] += bool(general[2])
+        assert seen["singular"] > 1000 and seen["swaps"] > 1000, seen
 
     @given(
         st.integers(1, 6).flatmap(

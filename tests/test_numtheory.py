@@ -179,6 +179,26 @@ def test_is_prime_carmichael_and_large():
     assert not numtheory.is_prime(2**67 - 1)
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**t, n) == n - 1 for t in range(1, r))
+
+
+def test_the_twelve_bases_stop_at_psi_12():
+    """psi_12, the least strong pseudoprime to the bases 2..37, passes all
+    twelve and fails base 41; above 2**64 is_prime uses 40 bases and sees it."""
+    psi_12 = 318_665_857_834_031_151_167_461
+    assert psi_12 == 399_165_290_221 * 798_330_580_441
+    assert 2**64 < psi_12 < 32 * 10**22
+    assert numtheory._MR_DETERMINISTIC_BASES == tuple(numtheory.small_primes()[:12])
+    assert all(_strong_probable_prime(psi_12, a) for a in numtheory._MR_DETERMINISTIC_BASES)
+    assert not _strong_probable_prime(psi_12, 41)
+    assert not numtheory.is_prime(psi_12)
+
+
 def test_divisors():
     assert numtheory.divisors(1) == [1]
     assert numtheory.divisors(12) == [1, 2, 3, 4, 6, 12]

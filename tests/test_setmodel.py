@@ -1,5 +1,7 @@
 import random
 import time
+from enum import IntEnum
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from gcdmat.setmodel import ExponentMatrix, OrderedSet
 from oracles import (
     brute_monotone_images,
     l1_monotone_order,
+    ordered_set_error,
     perturbed_exponents,
     random_distinct_set,
     shuffled,
@@ -74,7 +77,38 @@ def coprime_chain_sets(seed: int):
             yield OrderedSet(broken)
 
 
+class Level(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+# plain ints (0, negatives and repeats included) and the look-alikes the
+# validator must tell apart from them
+ELEMENT_LISTS = st.one_of(
+    st.lists(st.integers(-3, 12), max_size=8),
+    st.lists(
+        st.one_of(
+            st.integers(-3, 12), st.booleans(), st.sampled_from(Level), st.floats(),
+            st.text(max_size=3), st.fractions(max_denominator=4),
+        ),
+        max_size=8,
+    ),
+)
+
+
 class TestOrderedSet:
+    @given(ELEMENT_LISTS)
+    def test_validation_matches_the_element_by_element_validator(self, elements):
+        expected = ordered_set_error(elements)
+        try:
+            s = OrderedSet(elements)
+        except InvalidSetError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert s.elements == tuple(elements)
+
     def test_rejects_empty(self):
         with pytest.raises(InvalidSetError):
             OrderedSet([])
@@ -270,6 +304,11 @@ class TestPredicates:
         assert setmodel.is_gcd_closed([1, 2, 3])
         assert setmodel.is_gcd_closed([2, 6, 12])
         assert not setmodel.is_gcd_closed(SIX_ELEMENT)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True))
+    def test_gcd_closed_is_the_pairwise_definition(self, elements):
+        expected = all(gcd(a, b) in elements for a in elements for b in elements)
+        assert setmodel.is_gcd_closed(elements) == expected
 
     def test_factor_closed(self):
         assert setmodel.is_factor_closed([1, 2, 3, 4, 6, 12])
