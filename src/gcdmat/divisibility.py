@@ -4,12 +4,19 @@ A divides B over the n x n integers when B = A*C or B = C*A for some integer
 matrix C. Both matrices here are symmetric, so left and right divisibility
 coincide: the stored witness is the right quotient C with C * gcd = lcm, and
 its transpose witnesses the left side.
+
+The quotient does not change when the set is scaled. For g >= 1,
+gcd(g*a, g*b) = g*gcd(a, b) and lcm(g*a, g*b) = g*lcm(a, b), so the gcd and
+lcm matrices of g*S are g times those of S, and C = L * G^-1 is the same
+matrix for both. divide_oracle therefore solves on S/gcd(S), whose integers,
+and whose elimination's minors, are shorter.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from . import numtheory
@@ -48,8 +55,17 @@ def divide_oracle(s: OrderedSet | Iterable[int]) -> DivisibilityReport:
     invertible. divides is true iff every entry of C is an integer. The rows
     of C are solved in order on the gcd matrix's LU, and the solve stops
     after the first row with a non-integral entry, which is the violation.
+
+    The solve runs on the primitive set S/g, with g = gcd(S): G(S) = g*G(S/g)
+    and L(S) = g*L(S/g), because gcd and lcm commute with scaling by g, so
+    C = L(S) * G(S)^-1 = L(S/g) * G(S/g)^-1. Dividing distinct positive
+    ints by a common divisor leaves distinct positive ints, so the reduced
+    set needs no second validation.
     """
     s = OrderedSet.coerce(s)
+    g = gcd(*s.elements)
+    if g > 1:
+        s = OrderedSet._built(tuple([x // g for x in s.elements]))
     witness, violation = integral_solve_right(gcd_matrix(s), lcm_matrix(s))
     if witness is None:
         return DivisibilityReport(False, violation=violation)
@@ -76,17 +92,18 @@ def _gcd_closed_candidates(n: int, element_bound: int):
 
     Seeds m = 1, 2, ... up to the element bound are treated as divisor
     lattices: for each m, every ascending n-subset of divisors(m) with maximum
-    m is yielded (lexicographic order) if it is gcd-closed. Each such set
-    appears for exactly one seed, so the stream is duplicate-free; sets whose
-    elements do not all divide their maximum are out of this enumeration's
-    reach by design.
+    m is yielded (lexicographic order) if it is gcd-closed, as the
+    OrderedSet that was validated once for the gcd-closure check. Each such
+    set appears for exactly one seed, so the stream is duplicate-free; sets
+    whose elements do not all divide their maximum are out of this
+    enumeration's reach by design.
     """
     for m in range(1, element_bound + 1):
         divs = numtheory.divisors(m)[:-1]
         if len(divs) < n - 1:
             continue
         for lower in itertools.combinations(divs, n - 1):
-            candidate = lower + (m,)
+            candidate = OrderedSet(lower + (m,))
             if is_gcd_closed(candidate):
                 yield candidate
 
@@ -112,9 +129,8 @@ def search_gcd_closed_nondivisor(
         if tested >= budget:
             return None
         tested += 1
-        s = OrderedSet(candidate)
-        if single_pair_identities_hold(s):
+        if single_pair_identities_hold(candidate):
             continue
-        if not divide_oracle(s).divides:
-            return s
+        if not divide_oracle(candidate).divides:
+            return candidate
     return None

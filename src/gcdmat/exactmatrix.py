@@ -136,13 +136,13 @@ class ExactMatrix:
         )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._built(tuple(zip(*self._entries)))
+        return ExactMatrix._built(tuple(list(zip(*self._entries))))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and self._entries == tuple(zip(*self._entries))
+        return self.is_square() and list(self._entries) == list(zip(*self._entries))
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self._entries for e in row)
@@ -153,9 +153,9 @@ class ExactMatrix:
         The transpose is cleared by one scale for the whole matrix, so its
         integer rows are symmetric exactly when the matrix is."""
         if self._lu is None:
-            cols = tuple(zip(*self._entries))
+            cols = list(zip(*self._entries))
             rows, scale = _integer_rows(cols)
-            self._lu = (rows, *_bareiss(rows, cols == self._entries), scale)
+            self._lu = (rows, *_bareiss(rows, cols == list(self._entries)), scale)
         return self._lu
 
 

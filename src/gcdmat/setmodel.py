@@ -73,6 +73,17 @@ class OrderedSet:
             raise InvalidSetError(f"elements are not pairwise distinct: {repeat} repeats")
         self._elements = elems
 
+    @classmethod
+    def _built(cls, elements: tuple[int, ...]) -> "OrderedSet":
+        """A set of elements the package built, taken as they are.
+
+        elements is a nonempty tuple of distinct positive ints, such as a
+        valid set's elements divided by a common divisor; nothing is checked
+        or copied."""
+        s = object.__new__(cls)
+        s._elements = elements
+        return s
+
     @property
     def elements(self) -> tuple[int, ...]:
         return self._elements

@@ -16,14 +16,18 @@ exhaustive minors (first_negative_minor by cofactors, and
 first_negative_minor_lu by the fraction-free LU, which is fast enough for
 n <= 8). check_quadruple_identity and lcm_from_gcds restate two identities
 of TN sets with plain gcds. ordered_set_error restates OrderedSet's
-element-by-element validation and its messages.
+element-by-element validation and its messages. unreduced_divide_oracle is
+the exact solve on the set as given, without divide_oracle's division by
+the set's gcd.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 
+from gcdmat.divisibility import DivisibilityReport
 from gcdmat.errors import InvalidArgumentError, NotTnError, excerpt
+from gcdmat.exactmatrix import gcd_matrix, integral_solve_right, lcm_matrix
 from gcdmat.generate import SplitMix64, random_monotone_exponents
 from gcdmat.setmodel import ExponentMatrix, OrderedSet, reconstruct
 from gcdmat.tncore import TnVerdict
@@ -300,6 +304,16 @@ def rational_quotient(elements) -> list[list[Fraction]]:
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [[aug[i][n + r] for i in range(n)] for r in range(n)]
+
+
+def unreduced_divide_oracle(s) -> DivisibilityReport:
+    """divide_oracle's report from the solve C * G = L on the gcd and lcm
+    matrices of the set as given, with no common factor divided out."""
+    s = OrderedSet.coerce(s)
+    witness, violation = integral_solve_right(gcd_matrix(s), lcm_matrix(s))
+    if witness is None:
+        return DivisibilityReport(False, violation=violation)
+    return DivisibilityReport(True, witness=witness)
 
 
 def first_non_integral(rows):

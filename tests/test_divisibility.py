@@ -1,7 +1,11 @@
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from math import comb, gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcdmat import exactmatrix
 from gcdmat.cli import _json
@@ -15,7 +19,8 @@ from gcdmat.divisibility import (
 from gcdmat.errors import InvalidArgumentError
 from gcdmat.exactmatrix import ExactMatrix, gcd_matrix, lcm_matrix
 from gcdmat.generate import SplitMix64, random_monotone_exponents
-from gcdmat.setmodel import OrderedSet, is_gcd_closed, power_set, reconstruct
+from gcdmat.numtheory import divisors
+from gcdmat.setmodel import ExponentMatrix, OrderedSet, is_gcd_closed, power_set, reconstruct
 from gcdmat.tncore import check_tn_triple, quotient_closed_form, single_pair_identities_hold
 
 from oracles import (
@@ -26,6 +31,7 @@ from oracles import (
     random_tree_set,
     rational_quotient,
     shuffled,
+    unreduced_divide_oracle,
 )
 
 SIX_ELEMENT = [330812181, 551353635, 7501410, 2976750, 5512500000, 18750000000]
@@ -137,6 +143,52 @@ class TestRowByRowOracle:
         solved.clear()
         assert divide_oracle([2, 6, 12]).divides
         assert len(solved) == 3
+
+
+class TestScaleReduction:
+    """divide_oracle solves on S/gcd(S): the gcd and lcm matrices of g*S are
+    g times those of S, so the quotient, and so the whole report, is the
+    same for both."""
+
+    @given(
+        st.lists(st.integers(1, 2**16), min_size=1, max_size=7, unique=True),
+        st.one_of(st.integers(2, 2**64), st.just(2**1999 + 1)),  # the last has 2,000 bits
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_set_has_the_same_report(self, elements, g):
+        scaled = [g * x for x in elements]
+        report = divide_oracle(scaled)
+        assert report == divide_oracle(elements) == unreduced_divide_oracle(scaled)
+
+    def test_perturbed_grids_with_a_common_factor(self):
+        """Perturbed monotone grids whose every exponent column is shifted up
+        by at least 1, so the set's gcd exceeds 1."""
+        rng = SplitMix64(27)
+        nondivisors = 0
+        for _ in range(40):
+            grid = random_monotone_exponents(rng, rng.randint(3, 16), max_exp=5)
+            grid = perturbed_exponents(rng, grid, max_exp=5)
+            shift = [rng.randint(1, 4) for _ in grid.primes]
+            shifted = ExponentMatrix(
+                grid.primes, [[e + b for e, b in zip(row, shift)] for row in grid.exponents]
+            )
+            s = reconstruct(shifted)
+            assert gcd(*s) % prod(p**b for p, b in zip(grid.primes, shift)) == 0
+            report = divide_oracle(s)
+            assert report == unreduced_divide_oracle(s), s
+            nondivisors += not report.divides
+        assert nondivisors > 10, nondivisors
+
+    def test_large_common_factor_is_fast(self):
+        """30 random elements times 3^1000 * 5^300: the unreduced solve took
+        about 7 s; on the reduced set it is milliseconds."""
+        base = random.Random(30).sample(range(2, 10**6), 30)
+        scaled = [3**1000 * 5**300 * x for x in base]
+        start = time.perf_counter()
+        report = divide_oracle(scaled)
+        assert time.perf_counter() - start < 1
+        assert not report.divides
+        assert report == divide_oracle(base)
 
 
 class TestDivideViaClosedForm:
@@ -297,6 +349,20 @@ class TestSearch:
         for budget in (0, -1):
             with pytest.raises(InvalidArgumentError):
                 search_gcd_closed_nondivisor(4, 20, budget)
+
+    def test_validates_each_candidate_once(self, monkeypatch):
+        built = []
+        init = OrderedSet.__init__
+
+        def counted(self, elements):
+            built.append(elements)
+            init(self, elements)
+
+        monkeypatch.setattr(OrderedSet, "__init__", counted)
+        assert search_gcd_closed_nondivisor(3, 60, 10**6) is None
+        # one OrderedSet per ascending 3-subset of divisors(m) topped by m
+        assert len(built) == sum(comb(len(divisors(m)) - 1, 2) for m in range(1, 61))
+        assert len(built) > 100
 
     def test_matches_oracle_only_search(self):
         # TN candidates skip the oracle; the answer must not change
