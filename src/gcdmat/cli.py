@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every verb reads an ordered set (inline integers, a file, or stdin), runs one
-analysis, and prints a report as text or JSON carrying the same information.
-Exit codes: 0 success, 1 negative verdict on a yes/no question, 2 bad input,
-3 cross-check failure under --verify.
+analysis, and prints a report as text or JSON carrying the same information;
+`_read_document` reads the format that `_json` writes. Exit codes: 0 success,
+1 negative verdict on a yes/no question, 2 bad input, 3 cross-check failure
+under --verify.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from . import divisibility, exactmatrix, generate, setmodel, tncore
-from .errors import Error, NotTnError, excerpt
+from .errors import _EXCERPT_CHARS, Error, InvalidSetError, NotTnError, cut, excerpt
 from .exactmatrix import ExactMatrix
 from .setmodel import ExponentMatrix, OrderedSet
 
@@ -31,8 +32,20 @@ class CrossCheckFailure(Exception):
     """A --verify cross-check failed."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, and through parser_class its subparsers, with argv errors
+    held to the input-error contract."""
+
+    def error(self, message: str):
+        """Exit 2 with one `error:` line and no usage. argparse quotes a
+        rejected value whole, so each word is cut as errors.excerpt cuts a
+        value, and the message to 180 characters, which fit the verb choices."""
+        words = " ".join(cut(word) for word in message.split(" "))
+        self.exit(EXIT_INPUT, f"error: {cut(words, 180)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcdmat",
         description="Exact gcd/lcm matrix analysis: total nonnegativity, "
         "closed-form inverses and quotients, matrix divisibility.",
@@ -40,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     reads_set = argparse.ArgumentParser(add_help=False)
-    reads_set.add_argument("elements", nargs="*", type=int, help="inline set elements")
+    reads_set.add_argument("elements", nargs="*", help="inline set elements")
     reads_set.add_argument("--input", metavar="PATH", help="input file, or - for stdin")
 
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -70,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="set size (pascal, random)")
     p.add_argument("--primes", help="comma-separated primes to build on")
     p.add_argument("--bases", help="comma-separated bases (vandermonde)")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed (random)")
-    p.add_argument("--max-exp", type=int, default=6, help="largest exponent (random)")
-    p.add_argument("--max-primes", type=int, default=4, help="most primes used (random)")
+    p.add_argument("--seed", type=int, help="64-bit seed (random)")
+    p.add_argument("--max-exp", type=int, help="largest exponent (random)")
+    p.add_argument("--max-primes", type=int, help="most primes used (random)")
 
     p = sub.add_parser("search", parents=[common],
                        help="hunt a gcd-closed set whose gcd matrix fails to divide")
@@ -83,25 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(args) -> OrderedSet | ExponentMatrix:
-    inline = getattr(args, "elements", None)
-    path = getattr(args, "input", None)
-    if inline and path:
+def _load_set(args) -> OrderedSet:
+    """The inline elements, read like a text document, or the --input document."""
+    if args.elements and args.input:
         raise Error("give elements inline or via --input, not both")
-    if inline:
-        return OrderedSet(inline)
-    if not path:
+    if args.elements:
+        return _read_elements(args.elements)
+    if not args.input:
         raise Error("no input: pass elements inline or use --input PATH|-")
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
     except UnicodeDecodeError as exc:
         raise Error(f"cannot decode input: {exc}") from None
-    return setmodel.parse_input_document(text)
-
-
-def _load_set(args) -> OrderedSet:
-    doc = _load_document(args)
-    return setmodel.reconstruct(doc) if isinstance(doc, ExponentMatrix) else doc
+    return _read_document(text)
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
@@ -201,27 +208,36 @@ def _cmd_power_divide(args) -> tuple[dict, int]:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(tok, 10) for tok in text.split(",") if tok.strip()]
+        return [_read_int(tok, f"{flag} entry") for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise Error(f"bad {flag} value: {excerpt(text)} (want comma-separated integers)") from None
 
 
+# The argparse dests each generate pattern reads, the one it needs first.
+_PATTERN_FLAGS = {
+    "pascal": ("n", "primes"),
+    "vandermonde": ("bases", "primes"),
+    "random": ("n", "seed", "max_exp", "max_primes"),
+}
+
+
 def _cmd_generate(args) -> tuple[dict, int]:
+    """The random caps default to random_monotone_exponents' own, the seed to 0."""
+    own = _PATTERN_FLAGS[args.pattern]
+    for dest in ("n", "primes", "bases", "seed", "max_exp", "max_primes"):
+        if getattr(args, dest) is not None and dest not in own:
+            raise Error(f"--pattern {args.pattern} does not read --{dest.replace('_', '-')}")
+    if not getattr(args, own[0]):
+        raise Error(f"--pattern {args.pattern} needs --{own[0]}")
     primes = _parse_int_list(args.primes, "--primes") if args.primes else None
     if args.pattern == "pascal":
-        if not args.n:
-            raise Error("--pattern pascal needs --n")
         matrix = generate.pascal_matrix(args.n, primes)
     elif args.pattern == "vandermonde":
-        if not args.bases:
-            raise Error("--pattern vandermonde needs --bases")
-        bases = _parse_int_list(args.bases, "--bases")
-        matrix = generate.vandermonde_matrix(bases, primes)
+        matrix = generate.vandermonde_matrix(_parse_int_list(args.bases, "--bases"), primes)
     else:
-        if not args.n:
-            raise Error("--pattern random needs --n")
-        rng = generate.SplitMix64(args.seed)
-        matrix = generate.random_monotone_exponents(rng, args.n, args.max_exp, args.max_primes)
+        caps = {k: getattr(args, k) for k in ("max_exp", "max_primes") if getattr(args, k) is not None}
+        rng = generate.SplitMix64(args.seed or 0)
+        matrix = generate.random_monotone_exponents(rng, args.n, **caps)
     s = setmodel.reconstruct(matrix)
     return {"pattern": args.pattern, "elements": s, **_json(matrix)}, EXIT_OK
 
@@ -268,6 +284,62 @@ def _json(value):
     if isinstance(value, ExponentMatrix):
         return {"primes": [str(p) for p in value.primes], "exponents": _json(value.exponents)}
     return value
+
+
+def _read_int(token: object, what: str) -> int:
+    """int(token, 10), the CLI's one integer reader: text documents, JSON
+    strings, inline elements and --primes/--bases entries all come here.
+    A token that is not a decimal string raises ValueError, for the caller to
+    word. A negative number longer than an excerpt is refused as it stands:
+    none is valid, and CPython's str -> int is quadratic in the length."""
+    if not isinstance(token, str):
+        raise ValueError(f"{what} is not a string")
+    if len(token) > _EXCERPT_CHARS and token.lstrip().startswith("-"):
+        raise InvalidSetError(f"{what} {excerpt(token)} is not positive")
+    return int(token, 10)
+
+
+def _read_ints(items, what: str, bad: str) -> list[int]:
+    """Each item as an int, a JSON integer as it is; bad quotes a refused one."""
+    ints = []
+    for item in items:
+        try:
+            ints.append(item if type(item) is int else _read_int(item, what))
+        except ValueError:
+            raise InvalidSetError(bad.format(excerpt(item))) from None
+    return ints
+
+
+def _read_elements(tokens: list[str]) -> OrderedSet:
+    if not tokens:
+        raise InvalidSetError("no integers found in input")
+    return OrderedSet(_read_ints(tokens, "element", "not a decimal integer: {}"))
+
+
+def _read_document(text: str) -> OrderedSet:
+    """The set an input document gives, in the format `_json` writes.
+
+    JSON with "primes" is an exponent matrix, reconstructed into its set, and
+    JSON with "elements" is the set; their entries are JSON integers or
+    decimal strings, and exponents are JSON integers. Anything else is
+    whitespace-separated decimal integers.
+    """
+    if not text.lstrip().startswith("{"):
+        return _read_elements(text.split())
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidSetError(f"bad JSON input: {exc}") from None
+    if "primes" in doc:
+        primes, rows = doc["primes"], doc.get("exponents")
+        if not (isinstance(primes, list) and isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise InvalidSetError('"primes" must be a list, and "exponents" a list of lists')
+        primes = _read_ints(primes, '"primes" entry', 'bad "primes" entry: {}')
+        return setmodel.reconstruct(ExponentMatrix(primes, rows))
+    if not isinstance(doc.get("elements"), list):
+        raise InvalidSetError('a JSON document needs an "elements" list, or "primes" and "exponents"')
+    return OrderedSet(_read_ints(doc["elements"], '"elements" entry', 'bad "elements" entry: {}'))
 
 
 def _scalar(value) -> str:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and `excerpt` for quoting a
-rejected value in their messages."""
+rejected value in their messages (`cut` is its last step)."""
 
 _EXCERPT_CHARS = 80
 
@@ -22,7 +22,12 @@ def excerpt(value: object) -> str:
         text = ", ".join(parts).join("[]" if isinstance(value, list) else "()")
     else:
         text = _scalar_excerpt(value)
-    return text if len(text) <= _EXCERPT_CHARS else text[:_EXCERPT_CHARS] + "..."
+    return cut(text)
+
+
+def cut(text: str, chars: int = _EXCERPT_CHARS) -> str:
+    """text, or its first chars characters and "..." when it is longer."""
+    return text if len(text) <= chars else text[:chars] + "..."
 
 
 def _scalar_excerpt(value: object) -> str:

@@ -92,9 +92,11 @@ def pascal_matrix(n: int, primes: Sequence[int] | None = None) -> ExponentMatrix
 
 
 def vandermonde_matrix(bases: Sequence[int], primes: Sequence[int] | None = None) -> ExponentMatrix:
-    """The Vandermonde matrix of bases over primes (default: the first len(bases))."""
+    """The Vandermonde matrix of bases over primes (default: the first len(bases)).
+    The bases are checked before any prime is sieved."""
+    exponents = vandermonde_exponents(bases)
     primes = tuple(primes) if primes is not None else first_primes(len(bases))
-    return ExponentMatrix(primes, vandermonde_exponents(bases))
+    return ExponentMatrix(primes, exponents)
 
 
 def pascal_set(n: int, primes: Sequence[int] | None = None) -> OrderedSet:

@@ -14,33 +14,11 @@ end element recovers it.
 from __future__ import annotations
 
 import itertools
-import json
 from math import gcd, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import numtheory
-from .errors import _EXCERPT_CHARS, InvalidArgumentError, InvalidSetError, excerpt
-
-
-def _decimal(text: str, what: str) -> int:
-    """int(text, 10), with text of a negative number longer than an excerpt
-    refused as it stands: no element or prime is negative, and CPython's
-    str -> int takes time quadratic in the length."""
-    if len(text) > _EXCERPT_CHARS and text.lstrip().startswith("-"):
-        raise InvalidSetError(f"{what} {excerpt(text)} is not positive")
-    return int(text, 10)
-
-
-def _json_int(item: object, field: str) -> int:
-    """A JSON list entry as an int: a JSON integer or a decimal string."""
-    if isinstance(item, int) and not isinstance(item, bool):
-        return item
-    if isinstance(item, str):
-        try:
-            return _decimal(item, f'"{field}" entry')
-        except ValueError:
-            pass
-    raise InvalidSetError(f'bad "{field}" entry: {excerpt(item)}')
+from .errors import InvalidArgumentError, InvalidSetError, excerpt
 
 
 def _first_repeat(items: Sequence) -> object:
@@ -119,31 +97,6 @@ class OrderedSet:
             raise InvalidSetError(f"{list(image)} is not a permutation of 1..{len(self)}")
         return OrderedSet(self._elements[i - 1] for i in image)
 
-    # --- input formats -------------------------------------------------------
-
-    @classmethod
-    def from_text(cls, text: str) -> "OrderedSet":
-        """Parse whitespace- or newline-separated decimal integers."""
-        tokens = text.split()
-        if not tokens:
-            raise InvalidSetError("no integers found in input")
-        elems = []
-        for tok in tokens:
-            try:
-                elems.append(_decimal(tok, "element"))
-            except ValueError:
-                raise InvalidSetError(f"not a decimal integer: {excerpt(tok)}") from None
-        return cls(elems)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "OrderedSet":
-        if "elements" not in doc:
-            raise InvalidSetError('missing "elements" field')
-        raw = doc["elements"]
-        if not isinstance(raw, list):
-            raise InvalidSetError('"elements" must be a list')
-        return cls(_json_int(item, "elements") for item in raw)
-
 
 class ExponentMatrix:
     """n x k matrix of prime exponents plus its ordered prime list.
@@ -211,17 +164,6 @@ class ExponentMatrix:
 
     def __repr__(self) -> str:
         return f"ExponentMatrix(primes={list(self._primes)}, exponents={[list(r) for r in self._exponents]})"
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExponentMatrix":
-        if "primes" not in doc or "exponents" not in doc:
-            raise InvalidSetError('missing "primes" or "exponents" field')
-        rows = doc["exponents"]
-        if not isinstance(doc["primes"], list) or not isinstance(rows, list):
-            raise InvalidSetError('"primes" and "exponents" must be lists')
-        if not all(isinstance(row, list) for row in rows):
-            raise InvalidSetError('every "exponents" row must be a list')
-        return cls((_json_int(item, "primes") for item in doc["primes"]), rows)
 
 
 class ColumnMonotoneReport(NamedTuple):
@@ -381,19 +323,3 @@ def power_set(s: OrderedSet | Iterable[int], e: int) -> OrderedSet:
 def reconstruct(m: ExponentMatrix) -> OrderedSet:
     """The ordered set whose exponent matrix round-trips to m."""
     return OrderedSet(prod(p**e for p, e in zip(m.primes, row)) for row in m.exponents)
-
-
-def parse_input_document(text: str) -> OrderedSet | ExponentMatrix:
-    """Auto-detect an input document: JSON with "primes" is an exponent
-    matrix, JSON with "elements" is an ordered set, anything else is parsed
-    as whitespace-separated integers."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InvalidSetError(f"bad JSON input: {exc}") from None
-        if "primes" in doc:
-            return ExponentMatrix.from_json_dict(doc)
-        return OrderedSet.from_json_dict(doc)
-    return OrderedSet.from_text(text)

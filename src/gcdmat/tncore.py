@@ -53,7 +53,9 @@ numbers, the pair (i, j) has a violating k >= j iff
 The first certificate is a suffix lcm along row i, the second reads one
 suffix-gcd vector built once; both are O(n^2) in all. The first pair (i, j)
 in lexicographic order that fails either is the pair of the first violating
-triple, and its k is found by walking k >= j.
+triple, and its k is found by walking k >= j. The same inequality makes the
+identity alone the test of one triple: (i,j)*(j,k) divides x_j*(i,k), and
+the two are equal exactly when every prime's exponents are.
 """
 
 from __future__ import annotations
@@ -136,12 +138,7 @@ def _first_violating_k(x: tuple[int, ...], i: int, j: int) -> tuple[int, int, in
     xi, xj = x[i], x[j]
     gij = _gcd(xi, xj)
     for k in range(j, len(x)):
-        xk = x[k]
-        gik, gjk = _gcd(xi, xk), _gcd(xj, xk)
-        xj_gik = xj * gik
-        # product identity; (i,k) = gcd(x_i, x_j, x_k) = gcd((i,j), (j,k));
-        # x_j*(i,k) | x_i*x_k
-        if gij * gjk != xj_gik or gik != _gcd(gij, gjk) or (xi * xk) % xj_gik:
+        if gij * _gcd(xj, x[k]) != xj * _gcd(xi, x[k]):
             return (i + 1, j + 1, k + 1)
     raise InternalConsistencyError(
         f"pair ({i + 1}, {j + 1}) fails a suffix certificate but no triple identity"
@@ -158,8 +155,7 @@ def check_tn_triple(s: OrderedSet | Iterable[int]) -> TnVerdict:
     lcm((i,j), ..., (i,n)) | x_j and x_j | lcm(x_i, gcd(x_j, ..., x_n)) (proof
     in the module docstring), in O(n^2) gcds and lcms. The witness is the
     lexicographically first failing triple. Its k is found on the first
-    failing pair by testing, for each k >= j in turn, the identity,
-    (i,k) = gcd(x_i, x_j, x_k) and x_j*(i,k) | x_i*x_k.
+    failing pair by testing the identity for each k >= j in turn.
     """
     s = OrderedSet.coerce(s)
     witness = _first_violating_triple(s.elements)
@@ -200,23 +196,22 @@ def _require_tn(s: OrderedSet) -> tuple[list[int], list[int]]:
 def tridiagonal_inverse(s: OrderedSet | Iterable[int]) -> TridiagonalInverse:
     """Closed-form inverse coefficients of a TN gcd matrix.
 
-    With (i,j) = gcd(x_i, x_j):
+    With (i,j) = gcd(x_i, x_j) and d_i = (i,n)*(1,i+1) - (i+1,n)*(1,i):
 
-        a_{i+1} = (1,n) / ((i,n)*(1,i+1) - (i+1,n)*(1,i))      1 <= i <= n-1
-        b_1     = -(2,n)/(1,n) * a_2
-        b_i     = -((i-1,n)*(1,i+1) - (i+1,n)*(1,i-1))/(1,n) * a_i * a_{i+1}
-        b_n     = -(1,n-1)/(1,n) * a_n
+        a_{i+1} = (1,n) / d_i                                   1 <= i <= n-1
+        b_1     = -(2,n) / d_1
+        b_i     = -((i-1,n)*(1,i+1) - (i+1,n)*(1,i-1))*(1,n) / (d_{i-1}*d_i)
+        b_n     = -(1,n-1) / d_{n-1}
 
     The assembled symmetric tridiagonal matrix times the gcd matrix is the
     identity, exactly. For n = 2 the first and last lines give b_1 and b_2;
     for n = 1 the inverse is the diagonal (1/x_1).
 
-    No denominator vanishes on a TN set. With denom_i = (i,n)*(1,i+1) -
-    (i+1,n)*(1,i), the single-pair identities give
-    x_i*x_{i+1} - (i,i+1)^2 = (1,i+1)*(i,n)*(-denom_i)/(1,n)^2. The left side
+    No denominator vanishes on a TN set. The single-pair identities give
+    x_i*x_{i+1} - (i,i+1)^2 = (1,i+1)*(i,n)*(-d_i)/(1,n)^2. The left side
     is a 2x2 principal minor of the positive definite gcd matrix, positive
     since (i,i+1) <= min(x_i, x_{i+1}) < max(x_i, x_{i+1}) for distinct
-    elements. Hence denom_i < 0, and every a_{i+1} is negative.
+    elements. Hence d_i < 0, and every a_{i+1} is negative.
     """
     s = OrderedSet.coerce(s)
     n = len(s)
@@ -224,15 +219,14 @@ def tridiagonal_inverse(s: OrderedSet | Iterable[int]) -> TridiagonalInverse:
         return TridiagonalInverse((), (Fraction(1, s[0]),))
     first, last = _require_tn(s)  # first[i] = (1,i+1), last[i] = (i+1,n)
     g1n = first[-1]
-    a: list[Fraction] = []  # a[i] holds a_{i+2}
-    for i in range(n - 1):
-        a.append(Fraction(g1n, last[i] * first[i + 1] - last[i + 1] * first[i]))
-    b = [-Fraction(last[1], g1n) * a[0]]
+    d = [last[i] * first[i + 1] - last[i + 1] * first[i] for i in range(n - 1)]  # d[i] = d_{i+1}
+    a = tuple(Fraction(g1n, di) for di in d)  # a[i] holds a_{i+2}
+    b = [Fraction(-last[1], d[0])]
     for i in range(1, n - 1):
         factor = last[i - 1] * first[i + 1] - last[i + 1] * first[i - 1]
-        b.append(-Fraction(factor, g1n) * a[i - 1] * a[i])
-    b.append(-Fraction(first[n - 2], g1n) * a[n - 2])
-    return TridiagonalInverse(tuple(a), tuple(b))
+        b.append(Fraction(-factor * g1n, d[i - 1] * d[i]))
+    b.append(Fraction(-first[n - 2], d[n - 2]))
+    return TridiagonalInverse(a, tuple(b))
 
 
 def quotient_closed_form(

@@ -106,6 +106,20 @@ class TestDivideVerb:
         assert code == 3
         assert "lcm" in err
 
+    @pytest.mark.parametrize(
+        "witness",
+        [ExactMatrix.identity(2), ExactMatrix([[Fraction(1, 2)] * 3] * 3)],
+        ids=["wrong-shape", "non-integral"],
+    )
+    def test_verify_refuses_a_malformed_witness(self, capsys, monkeypatch, witness):
+        """A witness of the wrong shape, or with a non-integral entry, fails
+        --verify before any product is formed."""
+        monkeypatch.setattr(cli.divisibility, "divide",
+                            lambda s: divisibility.DivisibilityReport(True, witness=witness))
+        code, out, err = run(capsys, "divide", "2", "6", "12", "--verify")
+        assert code == 3 and out == ""
+        assert err.startswith("cross-check failure: witness * gcd != lcm")
+
     def test_verify_leaves_a_nondivisor_unverified(self, capsys):
         code, doc, _ = run_json(capsys, "divide", "1", "2", "3", "12", "--verify")
         assert code == 1
@@ -269,6 +283,31 @@ class TestGenerateVerb:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("random", "--n", "3", "--primes", "101,103"), "--primes"),
+            (("random", "--n", "3", "--bases", "9"), "--bases"),
+            (("pascal", "--n", "3", "--seed", "0"), "--seed"),
+            (("pascal", "--n", "3", "--max-exp", "6"), "--max-exp"),
+            (("vandermonde", "--bases", "1,2", "--n", "2"), "--n"),
+            (("vandermonde", "--bases", "1,2", "--max-primes", "4"), "--max-primes"),
+        ],
+    )
+    def test_a_flag_the_pattern_does_not_read_is_refused(self, capsys, argv, flag):
+        code, out, err = run(capsys, "generate", "--pattern", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --pattern {argv[0]} does not read {flag}\n"
+
+    def test_random_defaults(self, capsys):
+        """Seed 0, max_exp 6 and max_primes 4 when the flags are not given."""
+        _, implicit, _ = run(capsys, "generate", "--pattern", "random", "--n", "5")
+        _, explicit, _ = run(capsys, "generate", "--pattern", "random", "--n", "5", "--seed", "0",
+                             "--max-exp", "6", "--max-primes", "4")
+        assert implicit == explicit
+        code, _, err = run(capsys, "generate", "--pattern", "random", "--n", "26")
+        assert code == 2 and "at most 25" in err
+
 
 class TestSearchVerb:
     def test_finds_witness(self, capsys):
@@ -352,10 +391,16 @@ class TestInputHandling:
             (("search", "--budget", "-1"), None),
             (("generate", "--pattern", "random", "--n", "8", "--max-exp", "1",
               "--max-primes", "4"), None),
+            (("divide", "2", "3"), {"elements": [2]}),
+            (("divide",), {"elements": "2 3"}),
+            (("divide",), {"primes": [2]}),
+            (("divide",), {"primes": [2], "exponents": [1]}),
+            (("divide", "2", "x"), None),
         ],
         ids=["power-0", "size-0", "random-n-negative", "vandermonde-base-0",
              "exponents-not-list", "primes-not-list", "budget-0", "budget-negative",
-             "random-n-infeasible"],
+             "random-n-infeasible", "inline-and-input", "elements-not-list",
+             "exponents-missing", "exponents-row-not-list", "inline-not-decimal"],
     )
     def test_invalid_arguments_exit_two(self, capsys, tmp_path, argv, document):
         if document is not None:
@@ -366,6 +411,48 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestArgvErrors:
+    """argparse's own errors keep the input-error contract: exit 2 and one
+    `error:` line, with a long value cut to about 80 characters."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--size", "z" * 3000),
+            ("z" * 3000,),
+            ("generate", "--pattern", "z" * 3000),
+            ("divide", "2", "--format", "z" * 3000),
+            ("search", *map(str, range(10_000))),
+            ("search", "--size", " ".join(["z"] * 3000)),
+        ],
+        ids=["size", "verb", "pattern", "format", "many-extras", "many-words"],
+    )
+    def test_one_excerpted_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 200, captured.err
+        if "z" * 3000 in argv:  # the rejected value, cut as errors.excerpt cuts one
+            assert "z" * 79 + "..." in captured.err, captured.err
+
+    def test_short_messages_stay_whole(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["frob"])
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument verb: invalid choice: 'frob'")
+        assert err.rstrip().endswith("'search')") or err.rstrip().endswith("search)")
+
+    def test_help_is_argparse_help(self, capsys):
+        for argv, shown in ((["--help"], "power-divide"), (["generate", "--help"], "--max-primes")):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: gcdmat") and shown in out
 
 
 def test_closed_stdout_exits_cleanly():

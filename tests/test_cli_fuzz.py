@@ -63,20 +63,35 @@ def set_commands(draw):
     return argv, document
 
 
+GENERATE_FLAGS = {
+    "--n": small.map(str),
+    "--bases": st.lists(st.integers(-1, 5), max_size=4).map(int_list),
+    "--primes": st.lists(st.integers(-2, 40), max_size=4).map(int_list),
+    "--seed": st.integers(-(2**70), 2**70).map(str),
+    "--max-exp": st.integers(-1, 6).map(str),
+    "--max-primes": st.integers(-1, 6).map(str),
+}
+# the flags each pattern reads, the one it needs first
+PATTERN_FLAGS = {
+    "pascal": ("--n", "--primes"),
+    "vandermonde": ("--bases", "--primes"),
+    "random": ("--n", "--seed", "--max-exp", "--max-primes"),
+}
+
+
 @st.composite
 def generate_commands(draw):
-    argv = ["generate", "--pattern", draw(st.sampled_from(("pascal", "vandermonde", "random"))),
-            "--n", str(draw(small)),
-            "--bases", int_list(draw(st.lists(st.integers(-1, 5), max_size=4)))]
-    optional = {
-        "--primes": st.lists(st.integers(-2, 40), max_size=4).map(int_list),
-        "--seed": st.integers(-(2**70), 2**70).map(str),
-        "--max-exp": st.integers(-1, 6).map(str),
-        "--max-primes": st.integers(-1, 6).map(str),
-    }
-    for flag, values in optional.items():
-        if draw(st.booleans()):
-            argv += [flag, draw(values)]
+    """The pattern's own flags, its needed one always, and now and then one it
+    does not read, which it refuses."""
+    pattern = draw(st.sampled_from(tuple(PATTERN_FLAGS)))
+    needed, *optional = PATTERN_FLAGS[pattern]
+    flags = [needed, *(flag for flag in optional if draw(st.booleans()))]
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(
+            [flag for flag in GENERATE_FLAGS if flag not in PATTERN_FLAGS[pattern]])))
+    argv = ["generate", "--pattern", pattern]
+    for flag in flags:
+        argv += [flag, draw(GENERATE_FLAGS[flag])]
     return argv, None
 
 
@@ -155,6 +170,8 @@ LONG_VALUES = [
      "bad --bases value"),
     (["generate", "--pattern", "vandermonde", "--bases", ",".join(["0"] * LONG)], None,
      "bases must be positive"),
+    (["divide", "2", "x" * LONG], None, "not a decimal integer: 'xxx"),
+    (["search", "--size", "x" * LONG], None, "argument --size: invalid int value: 'xxx"),
 ]
 
 

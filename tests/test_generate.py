@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from gcdmat import numtheory
 from gcdmat.errors import InvalidArgumentError
 from gcdmat.exactmatrix import gcd_matrix, is_positive_definite
 from gcdmat.generate import (
@@ -13,6 +14,7 @@ from gcdmat.generate import (
     random_monotone_exponents,
     random_monotone_set,
     vandermonde_exponents,
+    vandermonde_matrix,
     vandermonde_set,
 )
 from gcdmat.setmodel import OrderedSet, is_column_monotone, pow_matrix
@@ -80,6 +82,14 @@ class TestPatterns:
             pascal_exponents(0)
         with pytest.raises(ValueError):
             vandermonde_exponents([])
+
+    def test_vandermonde_checks_its_bases_before_sieving(self, monkeypatch):
+        """100,000 zero bases are refused before first_primes(100,000) sieves
+        past 2**20."""
+        monkeypatch.setattr(numtheory, "_sieve", (1 << 12, numtheory.small_primes()))
+        with pytest.raises(InvalidArgumentError, match="bases must be positive"):
+            vandermonde_matrix([0] * 100_000)
+        assert numtheory._sieve[0] == 1 << 12
 
     def test_first_primes(self):
         assert first_primes(5) == (2, 3, 5, 7, 11)

@@ -60,16 +60,29 @@ _BELOW_20 = _seeded_primes(3, 2**20 - 4000, 2**20, 3)
 _ABOVE_20 = _seeded_primes(4, 2**20, 2**20 + 4000, 3)
 
 
+@pytest.fixture
+def import_time_sieve(monkeypatch):
+    """The shared sieve as import leaves it, (2**12, small_primes()), and an
+    empty factorize cache, so the test grows the sieve itself; an earlier
+    test may have grown it past 2**20. Restored afterwards."""
+    monkeypatch.setattr(numtheory, "_sieve", (1 << 12, numtheory.small_primes()))
+    numtheory.factorize.cache_clear()
+    yield
+    numtheory.factorize.cache_clear()
+
+
 @pytest.mark.parametrize(
     "p, q",
     [*zip(_BELOW_12, _ABOVE_12), *zip(_BELOW_20, _ABOVE_20),
      (_ABOVE_20[0], _ABOVE_20[1]), (_BELOW_12[0], _ABOVE_20[2]), (_ABOVE_12[0], _BELOW_20[0])],
 )
-def test_semiprimes_either_side_of_the_sieve_bounds(p, q):
+def test_semiprimes_either_side_of_the_sieve_bounds(import_time_sieve, p, q):
     """Factors on both sides of 2**12 (the import-time sieve) and of 2**20
-    (the end of trial division) agree with plain trial division."""
+    (the end of trial division) agree with plain trial division, and trial
+    division grows the sieve past 2**12 to reach them."""
     for x in (p * q, p**3 * q, p * q**2 * 6):
         assert numtheory.factorize(x) == tuple(trial_division_factors(x))
+    assert numtheory._sieve[0] > 1 << 12
 
 
 @pytest.mark.parametrize("p", [4093, 4099, 999_983, 1_000_003])
@@ -119,9 +132,10 @@ def test_integer_root_is_the_floor(m, k):
     assert r**k <= m < (r + 1) ** k
 
 
-def test_first_primes_grow_past_the_small_sieve():
+def test_first_primes_grow_past_the_small_sieve(import_time_sieve):
     assert len(numtheory.small_primes()) == 564 and numtheory.small_primes()[-1] == 4093
     primes = numtheory.first_primes(1000)
+    assert numtheory._sieve[0] == 1 << 13
     assert isinstance(primes, tuple) and len(primes) == 1000
     assert list(primes) == [n for n in range(2, 7920) if trial_division_factors(n) == [(n, 1)]]
 

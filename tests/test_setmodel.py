@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from enum import IntEnum
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcdmat import numtheory, setmodel
-from gcdmat.cli import _json
+from gcdmat.cli import _json, _read_document
 from gcdmat.errors import InvalidArgumentError, InvalidSetError
 from gcdmat.setmodel import ExponentMatrix, OrderedSet
 
@@ -134,20 +135,20 @@ class TestOrderedSet:
             s.permute([1, 1, 2, 3, 4])
 
     def test_text_round_trip(self):
-        assert OrderedSet.from_text("4000\n6000\n600\n") == OrderedSet([4000, 6000, 600])
-        assert OrderedSet.from_text("2 6 12") == OrderedSet([2, 6, 12])
+        assert _read_document("4000\n6000\n600\n") == OrderedSet([4000, 6000, 600])
+        assert _read_document("2 6 12") == OrderedSet([2, 6, 12])
 
     def test_from_text_diagnostics(self):
-        with pytest.raises(InvalidSetError):
-            OrderedSet.from_text("2 six 12")
-        with pytest.raises(InvalidSetError):
-            OrderedSet.from_text("   ")
+        with pytest.raises(InvalidSetError, match="not a decimal integer: 'six'"):
+            _read_document("2 six 12")
+        with pytest.raises(InvalidSetError, match="no integers found"):
+            _read_document("   ")
 
     def test_json_round_trip(self):
         s = OrderedSet([4000, 6000])
         assert _json(s) == ["4000", "6000"]
-        assert OrderedSet.from_json_dict({"elements": _json(s)}) == s
-        assert OrderedSet.from_json_dict({"elements": [2, 6]}) == OrderedSet([2, 6])
+        assert _read_document(json.dumps({"elements": _json(s)})) == s
+        assert _read_document('{"elements": [2, 6]}') == OrderedSet([2, 6])
 
 
 class TestExponentMatrix:
@@ -166,23 +167,21 @@ class TestExponentMatrix:
         doc = _json(m)
         assert doc["primes"] == ["2", "3", "5"]
         assert doc["exponents"] == POW_MONOTONE
-        assert ExponentMatrix.from_json_dict(doc) == m
+        assert _read_document(json.dumps(doc)) == setmodel.reconstruct(m)
 
 
 @pytest.mark.parametrize(
-    "parse, doc, message",
+    "doc, message",
     [
-        (OrderedSet.from_json_dict, {"elements": ["2", "x"]}, 'bad "elements" entry: \'x\''),
-        (OrderedSet.from_json_dict, {"elements": [2, True]}, 'bad "elements" entry: True'),
-        (ExponentMatrix.from_json_dict, {"primes": [2.5], "exponents": [[1]]},
-         'bad "primes" entry: 2.5'),
-        (ExponentMatrix.from_json_dict, {"primes": ["q"], "exponents": [[1]]},
-         'bad "primes" entry: \'q\''),
+        ({"elements": ["2", "x"]}, 'bad "elements" entry: \'x\''),
+        ({"elements": [2, True]}, 'bad "elements" entry: True'),
+        ({"primes": [2.5], "exponents": [[1]]}, 'bad "primes" entry: 2.5'),
+        ({"primes": ["q"], "exponents": [[1]]}, 'bad "primes" entry: \'q\''),
     ],
 )
-def test_bad_json_entries_are_named(parse, doc, message):
+def test_bad_json_entries_are_named(doc, message):
     with pytest.raises(InvalidSetError) as info:
-        parse(doc)
+        _read_document(json.dumps(doc))
     assert str(info.value) == message
 
 
